@@ -1,8 +1,9 @@
 """Sweep signal quality for a scenario and summarize where accidents peak.
 
 Usage:
-    python scripts/sweep_signal_quality.py scenarios/partial_adoption_backfire.scn \
-        --grid 101 --out sweep.csv
+    python scripts/sweep_signal_quality.py scenarios/partial_adoption_backfire.scn --grid 101
+
+For the per-beta CSV rows use `hazardsignal sweep <scenario> --out sweep.csv`.
 """
 
 import argparse
@@ -13,18 +14,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hazardsignal import load_scenario, sweep_beta
 
-CSV_HEADER = "beta,region,P,S,x_n,x_vu,Q,posterior"
-
-
-def fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scenario")
     parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
     scenario = load_scenario(args.scenario)
@@ -44,16 +38,6 @@ def main() -> int:
           f"P(beta={records[-1].beta:g}) = {records[-1].P:.6f}")
     print(f"accidents peak at beta = {peak.beta:g} with P = {peak.P:.6f} ({peak.region.value})")
     print(f"social cost is lowest at beta = {cheapest.beta:g} with S = {cheapest.S:.6f}")
-
-    if args.out:
-        rows = [CSV_HEADER]
-        for rec in records:
-            rows.append(",".join([
-                fmt(rec.beta), rec.region.value, fmt(rec.P), fmt(rec.S),
-                fmt(rec.x_n), fmt(rec.x_vu), fmt(rec.Q), fmt(rec.posterior),
-            ]))
-        Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
-        print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
 

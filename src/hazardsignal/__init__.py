@@ -23,9 +23,6 @@ from .model import (
     SignalReachCurve,
     SignalingGame,
     TableHazard,
-    eval_p,
-    eval_q,
-    inv_p,
     validate_game,
     validate_profile,
 )
@@ -41,9 +38,7 @@ from .equilibrium import (
     EquilibriumReport,
     LogicError,
     Region,
-    accident_probability,
     classify_region,
-    social_cost,
     solve_equilibrium,
 )
 from .design import (
@@ -107,23 +102,18 @@ __all__ = [
     "SignalingGame",
     "SweepRecord",
     "TableHazard",
-    "accident_probability",
     "best_response_dynamics",
     "check_equilibrium_conditions",
     "classify_region",
     "epsilon_equilibria",
-    "eval_p",
-    "eval_q",
     "format_curve",
     "group_costs",
-    "inv_p",
     "load_scenario",
     "optimal_beta_accidents",
     "optimal_beta_social",
     "parse_scenario",
     "posterior_no_signal",
     "single_peaked",
-    "social_cost",
     "solve_equilibrium",
     "solve_profile_P",
     "sweep_beta",

@@ -18,11 +18,11 @@ import argparse
 import sys
 
 from .consistency import solve_profile_P
-from .design import optimal_beta_accidents, optimal_beta_social, sweep_beta
+from .design import SweepRecord, optimal_beta_accidents, optimal_beta_social, sweep_beta
 from .equilibrium import LogicError, solve_equilibrium
 from .model import ModelError
 from .oracle import epsilon_equilibria
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _fmt, load_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -38,10 +38,6 @@ MASS_TOL_STEPS = 3.0
 P_TOL_STEPS = 2.0
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
 def _metadata(scenario: Scenario) -> list[str]:
     return ["# " + line for line in scenario.canonical_text().splitlines()]
 
@@ -55,17 +51,17 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _row(beta: float, rep) -> str:
+def _row(rec: SweepRecord) -> str:
     return ",".join(
         [
-            _fmt(beta),
-            rep.region.value,
-            _fmt(rep.P),
-            _fmt(rep.social_cost),
-            _fmt(rep.x_ne.x_n),
-            _fmt(rep.x_ne.x_vu),
-            _fmt(rep.Q),
-            _fmt(rep.posterior),
+            _fmt(rec.beta),
+            rec.region.value,
+            _fmt(rec.P),
+            _fmt(rec.S),
+            _fmt(rec.x_n),
+            _fmt(rec.x_vu),
+            _fmt(rec.Q),
+            _fmt(rec.posterior),
         ]
     )
 
@@ -78,7 +74,8 @@ def _cmd_solve(scenario: Scenario, args) -> int:
     if scenario.is_sweep:
         raise ScenarioError("solve needs a single beta; use the sweep command for ranges")
     rep = solve_equilibrium(scenario.game_at(scenario.beta))
-    _emit(_metadata(scenario) + [SOLVE_HEADER, _row(scenario.beta, rep)], args.out)
+    rec = SweepRecord.from_report(scenario.beta, rep)
+    _emit(_metadata(scenario) + [SOLVE_HEADER, _row(rec)], args.out)
     return EXIT_OK
 
 
@@ -89,22 +86,7 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
     else:
         lo, hi = 0.0, 1.0
         count = args.grid if args.grid is not None else 101
-    records = sweep_beta(_base_game(scenario), count, lo, hi)
-    rows = [
-        ",".join(
-            [
-                _fmt(rec.beta),
-                rec.region.value,
-                _fmt(rec.P),
-                _fmt(rec.S),
-                _fmt(rec.x_n),
-                _fmt(rec.x_vu),
-                _fmt(rec.Q),
-                _fmt(rec.posterior),
-            ]
-        )
-        for rec in records
-    ]
+    rows = [_row(rec) for rec in sweep_beta(_base_game(scenario), count, lo, hi)]
     _emit(_metadata(scenario) + [SOLVE_HEADER] + rows, args.out)
     return EXIT_OK
 

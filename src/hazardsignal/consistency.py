@@ -22,6 +22,7 @@ from .model import (
     InputError,
     ModelError,
     SignalingGame,
+    _bisect,
     validate_profile,
 )
 
@@ -37,9 +38,6 @@ __all__ = [
 
 #: absolute tolerance on the fixed-point residual |P - p(...)|
 SOLVER_TOL = 1e-12
-
-#: bisection iteration cap; the bracket collapses to float resolution long before this
-MAX_ITERATIONS = 200
 
 
 class DegenerateSignalError(ModelError):
@@ -90,23 +88,12 @@ def solve_profile_P(game: SignalingGame, profile: BehaviorProfile) -> Consistenc
         arg = x_n + (1.0 - P * rate) * x_vu
         return P - hazard(min(max(arg, 0.0), 1.0))
 
-    lo, hi = hazard.floor, hazard.ceiling
-    P = 0.5 * (lo + hi)
-    for _ in range(MAX_ITERATIONS):
-        P = 0.5 * (lo + hi)
-        g = gap(P)
-        if abs(g) <= SOLVER_TOL or (hi - lo) < 4.0 * math.ulp(1.0):
-            break
-        if g > 0.0:
-            hi = P
-        else:
-            lo = P
-    residual = abs(gap(P))
+    P, g = _bisect(gap, hazard.floor, hazard.ceiling, SOLVER_TOL)
     return ConsistencyResult(
         P=P,
         Q=P * rate,
         posterior_no_signal=posterior_no_signal(game, P),
-        residual=residual,
+        residual=abs(g),
     )
 
 

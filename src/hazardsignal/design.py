@@ -15,7 +15,7 @@ import enum
 import math
 
 from .model import InputError, SignalingGame
-from .equilibrium import Region, solve_equilibrium
+from .equilibrium import EquilibriumReport, Region, solve_equilibrium
 
 __all__ = [
     "DesignObjective",
@@ -53,6 +53,20 @@ class SweepRecord:
     Q: float
     posterior: float
 
+    @classmethod
+    def from_report(cls, beta: float, rep: EquilibriumReport) -> SweepRecord:
+        """The sample of one solved game at signal quality beta."""
+        return cls(
+            beta=beta,
+            region=rep.region,
+            P=rep.P,
+            S=rep.social_cost,
+            x_n=rep.x_ne.x_n,
+            x_vu=rep.x_ne.x_vu,
+            Q=rep.Q,
+            posterior=rep.posterior,
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class DesignResult:
@@ -83,19 +97,7 @@ def sweep_beta(
     records = []
     for i in range(grid_n):
         beta = lo + (hi - lo) * i / (grid_n - 1)
-        rep = solve_equilibrium(with_beta(game, beta))
-        records.append(
-            SweepRecord(
-                beta=beta,
-                region=rep.region,
-                P=rep.P,
-                S=rep.social_cost,
-                x_n=rep.x_ne.x_n,
-                x_vu=rep.x_ne.x_vu,
-                Q=rep.Q,
-                posterior=rep.posterior,
-            )
-        )
+        records.append(SweepRecord.from_report(beta, solve_equilibrium(with_beta(game, beta))))
     return records
 
 

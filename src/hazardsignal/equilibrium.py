@@ -26,8 +26,6 @@ from .model import (
     BehaviorProfile,
     ModelError,
     SignalingGame,
-    eval_p,
-    inv_p,
 )
 from .consistency import group_costs, posterior_no_signal, solve_profile_P
 
@@ -37,8 +35,6 @@ __all__ = [
     "EquilibriumReport",
     "classify_region",
     "solve_equilibrium",
-    "accident_probability",
-    "social_cost",
 ]
 
 #: closed-form masses may overshoot their bounds by at most this before we
@@ -86,11 +82,11 @@ def classify_region(game: SignalingGame) -> Region:
     t_unsignaled = 1.0 / (1.0 + game.r * (1.0 - rate))
     if p.floor > t_unsignaled:
         return Region.NCVC
-    if t_unsignaled <= eval_p(p, (1.0 - rate * t_unsignaled) * y):
+    if t_unsignaled <= p((1.0 - rate * t_unsignaled) * y):
         return Region.NCVI
-    if eval_p(p, (1.0 - rate * t_prior) * y) <= t_prior <= eval_p(p, 1.0 - rate * t_prior * y):
+    if p((1.0 - rate * t_prior) * y) <= t_prior <= p(1.0 - rate * t_prior * y):
         return Region.NIVR
-    if eval_p(p, 1.0 - rate * t_prior * y) < t_prior:
+    if p(1.0 - rate * t_prior * y) < t_prior:
         return Region.NRVR
     return Region.NCVR
 
@@ -125,11 +121,11 @@ def solve_equilibrium(game: SignalingGame) -> EquilibriumReport:
         share = 1.0 - rate * t_unsignaled
         if share <= 1e-15:
             raise LogicError("NCVI closed form degenerate: beta*q(y) * P reaches 1")
-        x_vu = inv_p(p, t_unsignaled) / share
+        x_vu = p.inverse(t_unsignaled) / share
         x = BehaviorProfile(0.0, _bounded(x_vu, 0.0, y, "unsignaled V2V reckless mass", region), 0.0)
         P = t_unsignaled
     elif region is Region.NIVR:
-        x_n = inv_p(p, t_prior) - (1.0 - rate * t_prior) * y
+        x_n = p.inverse(t_prior) - (1.0 - rate * t_prior) * y
         x = BehaviorProfile(_bounded(x_n, 0.0, 1.0 - y, "non-V2V reckless mass", region), y, 0.0)
         P = t_prior
     elif region is Region.NRVR:
@@ -145,6 +141,7 @@ def solve_equilibrium(game: SignalingGame) -> EquilibriumReport:
         posterior = posterior_no_signal(game, P)
 
     costs = group_costs(game, P, posterior)
+    # signaled V2V drivers act on certainty and incur no cost either way
     s = (
         costs.n_careful * (1.0 - y - x.x_n)
         + costs.n_reckless * x.x_n
@@ -154,16 +151,3 @@ def solve_equilibrium(game: SignalingGame) -> EquilibriumReport:
         region=region, x_ne=x, P=P, Q=Q, posterior=posterior, social_cost=s
     )
 
-
-def accident_probability(game: SignalingGame) -> float:
-    """Equilibrium accident probability, the designer's first objective."""
-    return solve_equilibrium(game).P
-
-
-def social_cost(game: SignalingGame) -> float:
-    """Population-expected cost at equilibrium.
-
-    Signaled V2V drivers contribute nothing: they act on certainty and
-    incur no cost either way.
-    """
-    return solve_equilibrium(game).social_cost

@@ -34,9 +34,6 @@ __all__ = [
     "SignalReachCurve",
     "SignalingGame",
     "BehaviorProfile",
-    "eval_p",
-    "inv_p",
-    "eval_q",
     "validate_game",
     "validate_profile",
 ]
@@ -46,6 +43,9 @@ UNIT_SLACK = 1e-9
 
 #: absolute tolerance in value space for numeric curve inversion
 INVERSION_TOL = 1e-12
+
+#: bisection iteration cap; the bracket collapses to float resolution long before this
+MAX_ITERATIONS = 200
 
 
 class ModelError(Exception):
@@ -79,6 +79,23 @@ def _unit(x, what: str):
     if np.any(np.isnan(arr)) or np.any(arr < -UNIT_SLACK) or np.any(arr > 1.0 + UNIT_SLACK):
         raise InputError(f"{what} must lie in [0, 1]")
     return np.clip(arr, 0.0, 1.0)
+
+
+def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Root of an increasing scalar function on [lo, hi]; returns (x, f(x)).
+
+    Stops when |f(x)| <= tol or the bracket is narrower than 4 ulp of 1.
+    """
+    for _ in range(MAX_ITERATIONS):
+        x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= tol or (hi - lo) < 4.0 * math.ulp(1.0):
+            break
+        if fx > 0.0:
+            hi = x
+        else:
+            lo = x
+    return x, fx
 
 
 def _target(v: float, lo: float, hi: float) -> float:
@@ -214,17 +231,7 @@ class TableHazard:
 
     def inverse(self, v: float) -> float:
         v = _target(v, self.floor, self.ceiling)
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            pv = self(mid)
-            if abs(pv - v) <= INVERSION_TOL:
-                return mid
-            if pv > v:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return _bisect(lambda d: self(d) - v, 0.0, 1.0, INVERSION_TOL)[0]
 
 
 @dataclass(frozen=True)
@@ -305,29 +312,18 @@ class BehaviorProfile:
     def __post_init__(self) -> None:
         for name in ("x_n", "x_vu", "x_vs"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or math.isnan(v) or v < 0:
+            if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
                 raise InputError(
                     f"reckless mass {name} must be a finite nonnegative number, got {v!r}"
                 )
 
 
-def eval_p(curve: HazardCurve, d):
-    """Accident probability at reckless mass d; d must lie in [0, 1]."""
-    return curve(d)
-
-
-def inv_p(curve: HazardCurve, v: float) -> float:
-    """Reckless mass at which the hazard curve attains probability v."""
-    return curve.inverse(v)
-
-
-def eval_q(curve: SignalReachCurve, y):
-    """Broadcast probability at penetration y; y must lie in [0, 1]."""
-    return curve(y)
-
-
 def validate_game(game: SignalingGame) -> SignalingGame:
-    """Check every game invariant; returns the game unchanged if all hold."""
+    """Check every game invariant; returns the game unchanged if all hold.
+
+    The curves are frozen and validated at their own construction, so only
+    their type and the derived signal rate are checked here.
+    """
     for name in ("beta", "y", "r"):
         v = getattr(game, name)
         if not isinstance(v, (int, float)) or not math.isfinite(v):
@@ -342,8 +338,6 @@ def validate_game(game: SignalingGame) -> SignalingGame:
         raise CurveError(f"unsupported hazard curve {game.hazard!r}")
     if not isinstance(game.signal_reach, (LinearReach, ConstantReach)):
         raise CurveError(f"unsupported signal reach curve {game.signal_reach!r}")
-    game.hazard.validate()
-    game.signal_reach.validate()
     rate = game.beta * game.signal_reach(game.y)
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"derived signal rate beta*q(y) = {rate!r} escapes [0, 1]")

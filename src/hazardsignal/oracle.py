@@ -274,14 +274,23 @@ def _consistent_P(game: SignalingGame, x_n: np.ndarray, x_vu: np.ndarray) -> np.
     """Vectorized fixed-point bisection, same equation as solve_profile_P."""
     rate = game.signal_rate
     hazard = game.hazard
-    lo = np.full_like(x_n, hazard.floor, dtype=float)
-    hi = np.full_like(x_n, hazard.ceiling, dtype=float)
+    return _bisect_rows(
+        lambda P: P - hazard(np.clip(x_n + (1.0 - P * rate) * x_vu, 0.0, 1.0)) > 0.0,
+        np.full_like(x_n, hazard.floor, dtype=float),
+        np.full_like(x_n, hazard.ceiling, dtype=float),
+    )
+
+
+def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row-wise bisection, 60 halvings of every [lo, hi] bracket.
+
+    above(mid) is a boolean array, True in the rows whose root lies below mid.
+    """
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        arg = np.clip(x_n + (1.0 - mid * rate) * x_vu, 0.0, 1.0)
-        high = mid - hazard(arg) > 0.0
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
+        down = above(mid)
+        hi = np.where(down, mid, hi)
+        lo = np.where(down, lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -335,14 +344,9 @@ def _gap_crossings(
     if not np.any(mask):
         return empty
     fixed = fixed[mask]
-    lo = np.zeros_like(fixed)
-    hi = np.full_like(fixed, bound)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        positive = gap_positive(mid, fixed)
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-    crossing = 0.5 * (lo + hi)
+    crossing = _bisect_rows(
+        lambda m: ~gap_positive(m, fixed), np.zeros_like(fixed), np.full_like(fixed, bound)
+    )
     if moving == "n":
         return crossing, fixed
     return fixed, crossing

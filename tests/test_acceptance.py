@@ -10,13 +10,11 @@ import time
 
 from hazardsignal import (
     Region,
-    accident_probability,
     classify_region,
     epsilon_equilibria,
     optimal_beta_accidents,
     posterior_no_signal,
     single_peaked,
-    social_cost,
     solve_equilibrium,
     solve_profile_P,
     sweep_beta,
@@ -48,8 +46,8 @@ def criterion(name: str, budget_s: float):
 def test_criterion_1_endpoint_rule_reproduction(tmp_path):
     """Steep-hazard scenario: P(0) = 0.1 exactly, P(1) = 1/8.4, beta* = 0."""
     with criterion("1 endpoint-rule reproduction", 1.0):
-        assert accident_probability(steep_hazard_game(0.0)) == 0.1
-        p1 = accident_probability(steep_hazard_game(1.0))
+        assert solve_equilibrium(steep_hazard_game(0.0)).P == 0.1
+        p1 = solve_equilibrium(steep_hazard_game(1.0)).P
         assert abs(p1 - 0.119047619) <= 1e-9
         assert abs(p1 - 1.0 / 8.4) <= 1e-12
 
@@ -70,8 +68,8 @@ def test_criterion_1_endpoint_rule_reproduction(tmp_path):
 def test_criterion_2_social_cost_reproduction():
     """Sparse-adoption scenario: S(0.9) ~ 0.4889 < S(1.0) ~ 0.4890."""
     with criterion("2 social-cost reproduction", 1.0):
-        s_09 = social_cost(cost_reversal_game(0.9))
-        s_10 = social_cost(cost_reversal_game(1.0))
+        s_09 = solve_equilibrium(cost_reversal_game(0.9)).social_cost
+        s_10 = solve_equilibrium(cost_reversal_game(1.0)).social_cost
         assert abs(s_09 - 0.4889) <= 5e-4
         assert abs(s_10 - 0.4890) <= 5e-4
         assert s_09 < s_10

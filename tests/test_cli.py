@@ -1,11 +1,14 @@
 """Command-line behavior: CSV schema, determinism, exit codes, round trip."""
 
+import hashlib
+import json
+
 import pytest
 
 from hazardsignal import parse_scenario
 from hazardsignal.cli import DESIGN_HEADER, ORACLE_HEADER, SOLVE_HEADER, main
 
-from conftest import SCENARIO_DIR
+from conftest import REPO_ROOT, SCENARIO_DIR
 
 BACKFIRE = SCENARIO_DIR / "partial_adoption_backfire.scn"
 ZERO_OPT = SCENARIO_DIR / "zero_signal_optimum.scn"
@@ -182,3 +185,16 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "solve_equilibrium", boom)
         assert main(["solve", str(ZERO_OPT)]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_recorded_outputs_unchanged(capsys):
+    """Every invocation pinned in hsbench/cli_expected.json keeps its exit
+    code and the sha256 of its stdout."""
+    expected = json.loads((REPO_ROOT / "hsbench" / "cli_expected.json").read_text())
+    assert len(expected) == 20
+    for key, want in expected.items():
+        command, scenario = key.split(" ")
+        code = main([command, str(REPO_ROOT / scenario)])
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert code == want["exit"], key
+        assert hashlib.sha256(stdout).hexdigest() == want["sha256"], key

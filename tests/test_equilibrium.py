@@ -9,10 +9,8 @@ from hazardsignal import (
     LinearReach,
     Region,
     SignalingGame,
-    accident_probability,
     check_equilibrium_conditions,
     classify_region,
-    social_cost,
     solve_equilibrium,
     solve_profile_P,
     with_beta,
@@ -103,33 +101,35 @@ class TestSolveEquilibrium:
 
 class TestAccidentProbability:
     def test_backfire_game_at_zero_quality(self):
-        assert accident_probability(adoption_backfire_game(0.0)) == pytest.approx(
+        assert solve_equilibrium(adoption_backfire_game(0.0)).P == pytest.approx(
             0.25, abs=1e-12
         )
 
     def test_steep_hazard_at_full_quality(self):
-        assert accident_probability(steep_hazard_game(1.0)) == pytest.approx(
+        assert solve_equilibrium(steep_hazard_game(1.0)).P == pytest.approx(
             0.1190476190476, abs=1e-9
         )
 
     def test_all_reckless_at_zero_quality(self):
-        assert accident_probability(all_reckless_game(0.0)) == pytest.approx(0.3, abs=1e-10)
+        assert solve_equilibrium(all_reckless_game(0.0)).P == pytest.approx(0.3, abs=1e-10)
 
 
 class TestSocialCost:
     def test_cost_reversal_values(self):
-        assert social_cost(cost_reversal_game(0.9)) == pytest.approx(0.4889, abs=5e-4)
-        assert social_cost(cost_reversal_game(1.0)) == pytest.approx(0.4890, abs=5e-4)
-        assert social_cost(cost_reversal_game(0.9)) < social_cost(cost_reversal_game(1.0))
+        s_09 = solve_equilibrium(cost_reversal_game(0.9)).social_cost
+        s_10 = solve_equilibrium(cost_reversal_game(1.0)).social_cost
+        assert s_09 == pytest.approx(0.4889, abs=5e-4)
+        assert s_10 == pytest.approx(0.4890, abs=5e-4)
+        assert s_09 < s_10
 
     def test_ncvc_cost_is_pure_regret(self):
         game = steep_hazard_game(0.0)
-        assert social_cost(game) == pytest.approx(1.0 - 0.1, abs=1e-12)
+        assert solve_equilibrium(game).social_cost == pytest.approx(1.0 - 0.1, abs=1e-12)
 
     def test_nonnegative(self):
         rng = random.Random(501)
         for _ in range(40):
-            assert social_cost(random_game(rng)) >= 0.0
+            assert solve_equilibrium(random_game(rng)).social_cost >= 0.0
 
     def test_matches_first_principles_at_resolved_fixed_point(self):
         from hazardsignal import group_costs

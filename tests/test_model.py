@@ -17,9 +17,6 @@ from hazardsignal import (
     RangeError,
     SignalingGame,
     TableHazard,
-    eval_p,
-    eval_q,
-    inv_p,
     validate_game,
     validate_profile,
 )
@@ -40,16 +37,16 @@ hazard_curves = st.one_of(affine_curves(), power_curves)
 class TestHazardEval:
     def test_affine_values(self):
         curve = AffineHazard(0.3, 0.1)
-        assert eval_p(curve, 0.9) == pytest.approx(0.37, abs=1e-15)
-        assert eval_p(PowerHazard(0.25), 0.0) == 0.0
-        assert eval_p(AffineHazard(0.8, 0.1), 0.0) == pytest.approx(0.1, abs=0)
+        assert curve(0.9) == pytest.approx(0.37, abs=1e-15)
+        assert PowerHazard(0.25)(0.0) == 0.0
+        assert AffineHazard(0.8, 0.1)(0.0) == pytest.approx(0.1, abs=0)
 
     def test_domain_violation(self):
         curve = AffineHazard(0.3, 0.1)
         with pytest.raises(InputError):
-            eval_p(curve, -0.2)
+            curve(-0.2)
         with pytest.raises(InputError):
-            eval_p(curve, 1.2)
+            curve(1.2)
 
     def test_table_interpolation(self):
         curve = TableHazard(((0.0, 0.05), (0.5, 0.3), (1.0, 0.8)))
@@ -62,31 +59,37 @@ class TestHazardEval:
         lo, hi = min(a, b), max(a, b)
         if hi - lo < 1e-9:
             return
-        assert eval_p(curve, lo) < eval_p(curve, hi)
+        assert curve(lo) < curve(hi)
 
 
 class TestHazardInverse:
     def test_analytic_inverses(self):
-        assert inv_p(AffineHazard(0.3, 0.1), 0.25) == pytest.approx(0.5, abs=1e-12)
-        assert inv_p(PowerHazard(0.25), 0.5) == pytest.approx(0.0625, abs=1e-12)
-        assert inv_p(AffineHazard(0.8, 0.1), 0.1) == pytest.approx(0.0, abs=1e-12)
+        assert AffineHazard(0.3, 0.1).inverse(0.25) == pytest.approx(0.5, abs=1e-12)
+        assert PowerHazard(0.25).inverse(0.5) == pytest.approx(0.0625, abs=1e-12)
+        assert AffineHazard(0.8, 0.1).inverse(0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(RangeError):
-            inv_p(AffineHazard(0.3, 0.1), 0.05)
+            AffineHazard(0.3, 0.1).inverse(0.05)
         with pytest.raises(RangeError):
-            inv_p(AffineHazard(0.3, 0.1), 0.5)
+            AffineHazard(0.3, 0.1).inverse(0.5)
 
     @given(hazard_curves, st.floats(0.0, 1.0))
     def test_round_trip(self, curve, t):
         v = curve.floor + t * (curve.ceiling - curve.floor)
-        assert abs(eval_p(curve, inv_p(curve, v)) - v) <= 1e-10
+        assert abs(curve(curve.inverse(v)) - v) <= 1e-10
 
     def test_table_round_trip(self):
-        curve = TableHazard(((0.0, 0.05), (0.3, 0.2), (0.7, 0.5), (1.0, 0.95)))
-        for i in range(41):
-            v = 0.05 + (0.95 - 0.05) * i / 40
-            assert abs(eval_p(curve, inv_p(curve, v)) - v) <= 1e-10
+        tables = (
+            ((0.0, 0.05), (0.3, 0.2), (0.7, 0.5), (1.0, 0.95)),
+            # a near-vertical segment, where bisection stops on bracket width
+            ((0.0, 0.05), (0.5, 0.1), (0.5 + 5e-6, 0.6), (1.0, 0.95)),
+        )
+        for knots in tables:
+            curve = TableHazard(knots)
+            for i in range(41):
+                v = 0.05 + (0.95 - 0.05) * i / 40
+                assert abs(curve(curve.inverse(v)) - v) <= 1e-10
 
 
 class TestCurveValidation:
@@ -119,12 +122,12 @@ class TestCurveValidation:
 
 class TestSignalReach:
     def test_linear_values(self):
-        assert eval_q(LinearReach(0.9), 0.9) == pytest.approx(0.81, abs=1e-15)
-        assert eval_q(LinearReach(0.9), 0.0) == 0.0
-        assert eval_q(LinearReach(0.9), 0.7) == pytest.approx(0.63, abs=1e-15)
+        assert LinearReach(0.9)(0.9) == pytest.approx(0.81, abs=1e-15)
+        assert LinearReach(0.9)(0.0) == 0.0
+        assert LinearReach(0.9)(0.7) == pytest.approx(0.63, abs=1e-15)
 
     def test_constant(self):
-        assert eval_q(ConstantReach(0.4), 0.2) == 0.4
+        assert ConstantReach(0.4)(0.2) == 0.4
 
     def test_bounds(self):
         with pytest.raises(CurveError):
@@ -132,7 +135,7 @@ class TestSignalReach:
         with pytest.raises(CurveError):
             ConstantReach(-0.1)
         with pytest.raises(InputError):
-            eval_q(LinearReach(0.9), 1.5)
+            LinearReach(0.9)(1.5)
 
 
 class TestGameValidation:
@@ -175,6 +178,8 @@ class TestBehaviorProfile:
             BehaviorProfile(-0.1, 0.0, 0.0)
         with pytest.raises(InputError):
             BehaviorProfile(0.0, math.nan, 0.0)
+        with pytest.raises(InputError):
+            BehaviorProfile(math.inf, 0.0)
 
     def test_profile_bounds_against_game(self):
         game = SignalingGame(
