@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hazardsignal import load_scenario, sweep_beta
+from hazardsignal import ModelError, load_scenario, sweep_beta
 
 
 def main() -> int:
@@ -21,15 +21,13 @@ def main() -> int:
     parser.add_argument("--grid", type=int, default=None)
     args = parser.parse_args()
 
-    scenario = load_scenario(args.scenario)
-    if scenario.is_sweep:
-        lo, hi = scenario.beta.lo, scenario.beta.hi
-        count = args.grid or scenario.beta.count
-    else:
-        lo, hi = 0.0, 1.0
-        count = args.grid or 101
-    base = scenario.game_at(lo)
-    records = sweep_beta(base, count, lo, hi)
+    try:
+        scenario = load_scenario(args.scenario)
+        lo, hi, count = scenario.sweep_range(args.grid)
+        records = sweep_beta(scenario.game_at(lo), count, lo, hi)
+    except (ModelError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     peak = max(records, key=lambda rec: rec.P)
     cheapest = min(records, key=lambda rec: rec.S)

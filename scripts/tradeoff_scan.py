@@ -13,6 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hazardsignal import (
+    ModelError,
     load_scenario,
     optimal_beta_accidents,
     optimal_beta_social,
@@ -26,9 +27,13 @@ def main() -> int:
     parser.add_argument("--grid", type=int, default=51)
     args = parser.parse_args()
 
-    scenario = load_scenario(args.scenario)
-    base = scenario.game_at(scenario.betas()[0])
-    records = sweep_beta(base, args.grid)
+    try:
+        scenario = load_scenario(args.scenario)
+        base = scenario.game_at(scenario.betas()[0])
+        records = sweep_beta(base, args.grid)
+    except (ModelError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     conflicts = []
     for prev, cur in zip(records, records[1:]):

@@ -80,12 +80,7 @@ def _cmd_solve(scenario: Scenario, args) -> int:
 
 
 def _cmd_sweep(scenario: Scenario, args) -> int:
-    if scenario.is_sweep:
-        lo, hi = scenario.beta.lo, scenario.beta.hi
-        count = args.grid if args.grid is not None else scenario.beta.count
-    else:
-        lo, hi = 0.0, 1.0
-        count = args.grid if args.grid is not None else 101
+    lo, hi, count = scenario.sweep_range(args.grid)
     rows = [_row(rec) for rec in sweep_beta(_base_game(scenario), count, lo, hi)]
     _emit(_metadata(scenario) + [SOLVE_HEADER] + rows, args.out)
     return EXIT_OK

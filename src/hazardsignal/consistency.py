@@ -27,7 +27,6 @@ from .model import (
 )
 
 __all__ = [
-    "SOLVER_TOL",
     "DegenerateSignalError",
     "ConsistencyResult",
     "GroupCosts",

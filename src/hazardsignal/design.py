@@ -94,11 +94,15 @@ def sweep_beta(
         raise InputError(f"sweep needs at least two grid points, got {grid_n!r}")
     if not 0.0 <= lo <= hi <= 1.0:
         raise InputError(f"sweep range [{lo!r}, {hi!r}] must be ordered within [0, 1]")
-    records = []
-    for i in range(grid_n):
-        beta = lo + (hi - lo) * i / (grid_n - 1)
-        records.append(SweepRecord.from_report(beta, solve_equilibrium(with_beta(game, beta))))
-    return records
+    return [
+        SweepRecord.from_report(beta, solve_equilibrium(with_beta(game, beta)))
+        for beta in _beta_grid(lo, hi, grid_n)
+    ]
+
+
+def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced signal qualities from lo to hi inclusive."""
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def optimal_beta_accidents(game: SignalingGame) -> DesignResult:

@@ -41,6 +41,9 @@ __all__ = [
 #: tolerated floating overshoot outside [0, 1] before an argument is rejected
 UNIT_SLACK = 1e-9
 
+#: tolerated floating overshoot of a reckless mass over its group's size
+GROUP_SLACK = 1e-9
+
 #: absolute tolerance in value space for numeric curve inversion
 INVERSION_TOL = 1e-12
 
@@ -334,9 +337,9 @@ def validate_game(game: SignalingGame) -> SignalingGame:
         raise ParameterError(f"V2V penetration y must lie in [0, 1], got {game.y!r}")
     if not game.r > 1.0:
         raise ParameterError(f"accident cost r must exceed 1, got {game.r!r}")
-    if not isinstance(game.hazard, (AffineHazard, PowerHazard, TableHazard)):
+    if not isinstance(game.hazard, HazardCurve):
         raise CurveError(f"unsupported hazard curve {game.hazard!r}")
-    if not isinstance(game.signal_reach, (LinearReach, ConstantReach)):
+    if not isinstance(game.signal_reach, SignalReachCurve):
         raise CurveError(f"unsupported signal reach curve {game.signal_reach!r}")
     rate = game.beta * game.signal_reach(game.y)
     if not 0.0 <= rate <= 1.0:
@@ -344,19 +347,17 @@ def validate_game(game: SignalingGame) -> SignalingGame:
     return game
 
 
-def validate_profile(
-    game: SignalingGame, profile: BehaviorProfile, slack: float = 1e-9
-) -> BehaviorProfile:
+def validate_profile(game: SignalingGame, profile: BehaviorProfile) -> BehaviorProfile:
     """Check the profile's masses against the game's group sizes."""
-    if profile.x_n > 1.0 - game.y + slack:
+    if profile.x_n > 1.0 - game.y + GROUP_SLACK:
         raise InputError(
             f"non-V2V reckless mass {profile.x_n!r} exceeds group size {1.0 - game.y:.12g}"
         )
-    if profile.x_vu > game.y + slack:
+    if profile.x_vu > game.y + GROUP_SLACK:
         raise InputError(
             f"unsignaled V2V reckless mass {profile.x_vu!r} exceeds group size {game.y:.12g}"
         )
-    if profile.x_vs > game.y + slack:
+    if profile.x_vs > game.y + GROUP_SLACK:
         raise InputError(
             f"signaled V2V reckless mass {profile.x_vs!r} exceeds group size {game.y:.12g}"
         )

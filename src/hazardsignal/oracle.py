@@ -39,6 +39,9 @@ TIE_EPS = 1e-9
 #: a profile within this L-inf distance of its best response counts as settled
 CONVERGENCE_TOL = 1e-9
 
+#: cost slack of the equilibrium check at the end of a best-response path
+CHECK_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class ConditionStatus:
@@ -146,18 +149,9 @@ def epsilon_equilibria(
     xn_axis = _axis(1.0 - y, grid_step)
     xvu_axis = _axis(y, grid_step)
     grid_n, grid_vu = np.meshgrid(xn_axis, xvu_axis, indexing="ij")
-    cand_n = [grid_n.ravel()]
-    cand_vu = [grid_vu.ravel()]
-
-    cross_n, along_vu = _gap_crossings(game, moving="n", fixed_axis=xvu_axis)
-    cand_n.append(cross_n)
-    cand_vu.append(along_vu)
-    along_n, cross_vu = _gap_crossings(game, moving="vu", fixed_axis=xn_axis)
-    cand_n.append(along_n)
-    cand_vu.append(cross_vu)
-
-    xs = np.concatenate(cand_n)
-    vus = np.concatenate(cand_vu)
+    cross_n, cross_vu = _gap_crossings(game, xn_axis, xvu_axis)
+    xs = np.concatenate([grid_n.ravel(), cross_n])
+    vus = np.concatenate([grid_vu.ravel(), cross_vu])
     P = _consistent_P(game, xs, vus)
     rate = game.signal_rate
     posterior = _no_signal_posterior(P, rate)
@@ -186,11 +180,7 @@ class BestResponsePath:
 
 
 def best_response_dynamics(
-    game: SignalingGame,
-    start: BehaviorProfile,
-    steps: int,
-    rate: float,
-    check_eps: float = 1e-6,
+    game: SignalingGame, start: BehaviorProfile, steps: int, rate: float
 ) -> BestResponsePath:
     """Iterate x <- x + rate * (BR(x) - x), recording every iterate.
 
@@ -230,7 +220,7 @@ def best_response_dynamics(
     return BestResponsePath(
         trajectory=tuple(trajectory),
         converged=converged,
-        final_check=check_equilibrium_conditions(game, trajectory[-1], check_eps),
+        final_check=check_equilibrium_conditions(game, trajectory[-1], CHECK_EPS),
     )
 
 
@@ -300,15 +290,15 @@ def _no_signal_posterior(P: np.ndarray, rate: float) -> np.ndarray:
 
 
 def _gap_crossings(
-    game: SignalingGame, moving: str, fixed_axis: np.ndarray
+    game: SignalingGame, xn_axis: np.ndarray, xvu_axis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero crossings of one group's cost gap along its own mass axis.
+    """Zero crossings of each group's cost gap along its own mass axis.
 
-    For each value on the other group's axis, bisect the strictly
-    decreasing gap (1 - (1+r) * belief) for the moving mass where the
-    group is exactly indifferent; rows/columns whose gap does not change
-    sign contribute nothing (their optimum sits at a lattice corner).
-    Returns aligned (x_n, x_vu) candidate arrays.
+    Every lattice column (x_n moving, x_vu fixed) and row (x_vu moving,
+    x_n fixed) is one line. All lines are bisected together for the moving
+    mass where the strictly decreasing gap (1 - (1+r) * belief) vanishes;
+    lines whose gap does not change sign contribute nothing (their optimum
+    sits at a lattice corner). Returns aligned (x_n, x_vu) candidate arrays.
 
     The sign test avoids nesting a full fixed-point solve per bisection
     step: with threshold t for the group's belief, the consistency map
@@ -316,37 +306,30 @@ def _gap_crossings(
     with root P*, so P* < t exactly when F(t) > 0, one curve evaluation.
     (For the unsignaled group the posterior is increasing in P, which
     moves its 1/(1+r) threshold to t = 1/(1 + r(1 - rate)) in P-space.)
+    At P = t the curve argument is scale * m + offset for moving mass m:
+    m + c*x_vu on a column and x_n + c*m on a row, with c = 1 - t*rate.
     Crossings are only candidates; membership is still decided by the
     cost conditions at each candidate's own solved P.
     """
-    y = game.y
     rate = game.signal_rate
     hazard = game.hazard
-    bound = (1.0 - y) if moving == "n" else y
-    empty = (np.array([]), np.array([]))
-    if bound <= 0.0 or len(fixed_axis) == 0:
-        return empty
-    if moving == "n":
-        t = 1.0 / (1.0 + game.r)
-    else:
-        t = 1.0 / (1.0 + game.r * (1.0 - rate))
+    t_n = 1.0 / (1.0 + game.r)
+    t_vu = 1.0 / (1.0 + game.r * (1.0 - rate))
+    moves_n = np.repeat([True, False], [len(xvu_axis), len(xn_axis)])
+    t = np.where(moves_n, t_n, t_vu)
+    bound = np.where(moves_n, 1.0 - game.y, game.y)
+    scale = np.where(moves_n, 1.0, 1.0 - t_vu * rate)
+    offset = np.concatenate([(1.0 - t_n * rate) * xvu_axis, xn_axis])
+    fixed = np.concatenate([xvu_axis, xn_axis])
 
-    def gap_positive(m: np.ndarray, f: np.ndarray) -> np.ndarray:
-        x_n = m if moving == "n" else f
-        x_vu = f if moving == "n" else m
-        arg = np.clip(x_n + (1.0 - t * rate) * x_vu, 0.0, 1.0)
-        return t - hazard(arg) > 0.0
+    def gap_positive(m, t, scale, offset) -> np.ndarray:
+        return t - hazard(np.clip(scale * m + offset, 0.0, 1.0)) > 0.0
 
-    fixed = np.asarray(fixed_axis, dtype=float)
-    zeros = np.zeros_like(fixed)
-    full = np.full_like(fixed, bound)
-    mask = gap_positive(zeros, fixed) & ~gap_positive(full, fixed)
-    if not np.any(mask):
-        return empty
-    fixed = fixed[mask]
-    crossing = _bisect_rows(
-        lambda m: ~gap_positive(m, fixed), np.zeros_like(fixed), np.full_like(fixed, bound)
+    sign_change = gap_positive(0.0, t, scale, offset) & ~gap_positive(bound, t, scale, offset)
+    if not np.any(sign_change):
+        return np.array([]), np.array([])
+    moves_n, t, bound, scale, offset, fixed = (
+        a[sign_change] for a in (moves_n, t, bound, scale, offset, fixed)
     )
-    if moving == "n":
-        return crossing, fixed
-    return fixed, crossing
+    m = _bisect_rows(lambda m: ~gap_positive(m, t, scale, offset), np.zeros_like(bound), bound)
+    return np.where(moves_n, m, fixed), np.where(moves_n, fixed, m)

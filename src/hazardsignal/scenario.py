@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .design import _beta_grid
 from .model import (
     AffineHazard,
     ConstantReach,
@@ -71,9 +72,7 @@ class BetaSweep:
             raise ScenarioError(f"beta sweep needs at least 2 samples, got {self.count!r}")
 
     def betas(self) -> list[float]:
-        return [
-            self.lo + (self.hi - self.lo) * i / (self.count - 1) for i in range(self.count)
-        ]
+        return _beta_grid(self.lo, self.hi, self.count)
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,15 @@ class Scenario:
 
     def betas(self) -> list[float]:
         return self.beta.betas() if isinstance(self.beta, BetaSweep) else [self.beta]
+
+    def sweep_range(self, grid: int | None = None) -> tuple[float, float, int]:
+        """(lo, hi, count) of a beta sweep: the scenario's own sweep, else
+        101 samples of [0, 1]; a grid other than None replaces the count."""
+        if isinstance(self.beta, BetaSweep):
+            lo, hi, count = self.beta.lo, self.beta.hi, self.beta.count
+        else:
+            lo, hi, count = 0.0, 1.0, 101
+        return lo, hi, count if grid is None else grid
 
     def game_at(self, beta: float) -> SignalingGame:
         return SignalingGame(
