@@ -51,19 +51,13 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv(*values) -> str:
+    """One CSV row: strings as they are, numbers through _fmt."""
+    return ",".join(v if isinstance(v, str) else _fmt(v) for v in values)
+
+
 def _row(rec: SweepRecord) -> str:
-    return ",".join(
-        [
-            _fmt(rec.beta),
-            rec.region.value,
-            _fmt(rec.P),
-            _fmt(rec.S),
-            _fmt(rec.x_n),
-            _fmt(rec.x_vu),
-            _fmt(rec.Q),
-            _fmt(rec.posterior),
-        ]
-    )
+    return _csv(rec.beta, rec.region.value, rec.P, rec.S, rec.x_n, rec.x_vu, rec.Q, rec.posterior)
 
 
 def _base_game(scenario: Scenario):
@@ -87,14 +81,8 @@ def _cmd_sweep(scenario: Scenario, args) -> int:
 
 
 def _design_lines(scenario: Scenario, result) -> list[str]:
-    row = ",".join(
-        [
-            result.objective.value,
-            _fmt(result.beta_star),
-            _fmt(result.value_at_star),
-            _fmt(result.endpoint_comparison[0]),
-            _fmt(result.endpoint_comparison[1]),
-        ]
+    row = _csv(
+        result.objective.value, result.beta_star, result.value_at_star, *result.endpoint_comparison
     )
     return _metadata(scenario) + [DESIGN_HEADER, row]
 
@@ -133,20 +121,8 @@ def _cmd_oracle_check(scenario: Scenario, args) -> int:
             verdict = "agree" if mass_dev <= mass_tol and p_dev <= p_tol else "disagree"
         if verdict != "agree":
             status = EXIT_DISAGREE
-        rows.append(
-            ",".join(
-                [
-                    _fmt(beta),
-                    str(len(found.members)),
-                    _fmt(rep.x_ne.x_n),
-                    _fmt(rep.x_ne.x_vu),
-                    _fmt(rep.P),
-                    _fmt(mass_dev),
-                    _fmt(p_dev),
-                    verdict,
-                ]
-            )
-        )
+        members = len(found.members)
+        rows.append(_csv(beta, members, rep.x_ne.x_n, rep.x_ne.x_vu, rep.P, mass_dev, p_dev, verdict))
     _emit(_metadata(scenario) + [ORACLE_HEADER] + rows, args.out)
     return status
 

@@ -35,9 +35,6 @@ __all__ = [
     "group_costs",
 ]
 
-#: absolute tolerance on the fixed-point residual |P - p(...)|
-SOLVER_TOL = 1e-12
-
 
 class DegenerateSignalError(ModelError):
     """The no-signal posterior is 0/0: certain signaling of a certain accident."""
@@ -87,7 +84,7 @@ def solve_profile_P(game: SignalingGame, profile: BehaviorProfile) -> Consistenc
         arg = x_n + (1.0 - P * rate) * x_vu
         return P - hazard(min(max(arg, 0.0), 1.0))
 
-    P, g = _bisect(gap, hazard.floor, hazard.ceiling, SOLVER_TOL)
+    P, g = _bisect(gap, hazard.floor, hazard.ceiling)
     return ConsistencyResult(
         P=P,
         Q=P * rate,

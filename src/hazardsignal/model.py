@@ -44,8 +44,8 @@ UNIT_SLACK = 1e-9
 #: tolerated floating overshoot of a reckless mass over its group's size
 GROUP_SLACK = 1e-9
 
-#: absolute tolerance in value space for numeric curve inversion
-INVERSION_TOL = 1e-12
+#: bisection stops once |f(x)| is within this (or the bracket is 4 ulp wide)
+BISECT_TOL = 1e-12
 
 #: bisection iteration cap; the bracket collapses to float resolution long before this
 MAX_ITERATIONS = 200
@@ -84,15 +84,15 @@ def _unit(x, what: str):
     return np.clip(arr, 0.0, 1.0)
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _bisect(f, lo: float, hi: float) -> tuple[float, float]:
     """Root of an increasing scalar function on [lo, hi]; returns (x, f(x)).
 
-    Stops when |f(x)| <= tol or the bracket is narrower than 4 ulp of 1.
+    Stops when |f(x)| <= BISECT_TOL or the bracket is narrower than 4 ulp of 1.
     """
     for _ in range(MAX_ITERATIONS):
         x = 0.5 * (lo + hi)
         fx = f(x)
-        if abs(fx) <= tol or (hi - lo) < 4.0 * math.ulp(1.0):
+        if abs(fx) <= BISECT_TOL or (hi - lo) < 4.0 * math.ulp(1.0):
             break
         if fx > 0.0:
             hi = x
@@ -119,9 +119,6 @@ class AffineHazard:
     intercept: float
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise CurveError("affine hazard parameters must be finite")
         if self.slope <= 0:
@@ -158,9 +155,6 @@ class PowerHazard:
     exponent: float
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not math.isfinite(self.exponent) or self.exponent <= 0:
             raise CurveError(
                 f"power hazard must be strictly increasing (exponent > 0), got {self.exponent!r}"
@@ -188,7 +182,7 @@ class TableHazard:
 
     Knots must start at d = 0, end at d = 1, and increase strictly in both
     coordinates, with probabilities staying inside [0, 1]. Inversion is by
-    bisection to INVERSION_TOL in value space; the analytic families above
+    bisection to BISECT_TOL in value space; the analytic families above
     invert in closed form instead.
     """
 
@@ -198,11 +192,6 @@ class TableHazard:
         object.__setattr__(
             self, "knots", tuple((float(d), float(v)) for d, v in self.knots)
         )
-        self.validate()
-        object.__setattr__(self, "_d_grid", np.array([k[0] for k in self.knots]))
-        object.__setattr__(self, "_v_grid", np.array([k[1] for k in self.knots]))
-
-    def validate(self) -> None:
         if len(self.knots) < 2:
             raise CurveError("hazard table needs at least two knots")
         if any(not (math.isfinite(d) and math.isfinite(v)) for d, v in self.knots):
@@ -218,6 +207,8 @@ class TableHazard:
                 )
         if vs[0] < 0 or vs[-1] > 1:
             raise CurveError("hazard table probabilities must stay within [0, 1]")
+        object.__setattr__(self, "_d_grid", np.array(ds))
+        object.__setattr__(self, "_v_grid", np.array(vs))
 
     @property
     def floor(self) -> float:
@@ -234,7 +225,7 @@ class TableHazard:
 
     def inverse(self, v: float) -> float:
         v = _target(v, self.floor, self.ceiling)
-        return _bisect(lambda d: self(d) - v, 0.0, 1.0, INVERSION_TOL)[0]
+        return _bisect(lambda d: self(d) - v, 0.0, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -244,9 +235,6 @@ class LinearReach:
     slope: float
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not math.isfinite(self.slope) or not 0.0 <= self.slope <= 1.0:
             raise CurveError(
                 f"linear reach slope must lie in [0, 1] to keep q inside [0, 1], got {self.slope!r}"
@@ -263,9 +251,6 @@ class ConstantReach:
     value: float
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not math.isfinite(self.value) or not 0.0 <= self.value <= 1.0:
             raise CurveError(f"constant reach must lie in [0, 1], got {self.value!r}")
 

@@ -21,7 +21,7 @@ from .model import (
     SignalingGame,
     validate_profile,
 )
-from .consistency import group_costs, solve_profile_P
+from .consistency import solve_profile_P
 
 __all__ = [
     "ConditionStatus",
@@ -85,19 +85,11 @@ def check_equilibrium_conditions(
     if not eps >= 0:
         raise InputError(f"eps must be nonnegative, got {eps!r}")
     res = solve_profile_P(game, profile)
-    costs = group_costs(game, res.P, res.posterior_no_signal)
-    y = game.y
-    checks = (
-        ("n_careful_in_use", profile.x_n < 1.0 - y, costs.n_reckless - costs.n_careful),
-        ("n_reckless_in_use", profile.x_n > 0.0, costs.n_careful - costs.n_reckless),
-        ("vu_careful_in_use", profile.x_vu < y, costs.vu_reckless - costs.vu_careful),
-        ("vu_reckless_in_use", profile.x_vu > 0.0, costs.vu_careful - costs.vu_reckless),
-        ("vs_careful_in_use", profile.x_vs < y, costs.vs_reckless - costs.vs_careful),
-        ("vs_reckless_in_use", profile.x_vs > 0.0, costs.vs_careful - costs.vs_reckless),
-    )
     conditions = tuple(
         ConditionStatus(name, active, (not active) or margin >= -eps, margin)
-        for name, active, margin in checks
+        for name, active, margin in _conditions(
+            game, res.P, res.posterior_no_signal, profile.x_n, profile.x_vu, profile.x_vs
+        )
     )
     return ConditionCheck(
         ok=all(c.ok for c in conditions),
@@ -155,14 +147,10 @@ def epsilon_equilibria(
     P = _consistent_P(game, xs, vus)
     rate = game.signal_rate
     posterior = _no_signal_posterior(P, rate)
-    gap_n = 1.0 - (1.0 + game.r) * P
-    gap_vu = 1.0 - (1.0 + game.r) * posterior
-    ok = (
-        (~(xs < 1.0 - y) | (gap_n <= eps))
-        & (~(xs > 0.0) | (gap_n >= -eps))
-        & (~(vus < y) | (gap_vu <= eps))
-        & (~(vus > 0.0) | (gap_vu >= -eps))
-    )
+    ok = np.ones(len(xs), dtype=bool)
+    for _, active, margin in _conditions(game, P, posterior, xs, vus, 0.0):
+        # active is a Python bool for the scalar x_vs, and ~True == -2
+        ok &= ~np.asarray(active) | (margin >= -eps)
     points = np.column_stack([xs[ok], vus[ok]])
     if len(points):
         points = np.unique(points, axis=0)
@@ -230,21 +218,45 @@ def _dist(a: BehaviorProfile, b: BehaviorProfile) -> float:
 
 def _best_response(game: SignalingGame, profile: BehaviorProfile) -> BehaviorProfile:
     res = solve_profile_P(game, profile)
-    costs = group_costs(game, res.P, res.posterior_no_signal)
+    (_, _, n_careful), _, (_, _, vu_careful), *_ = _conditions(
+        game, res.P, res.posterior_no_signal, profile.x_n, profile.x_vu, profile.x_vs
+    )
+    return BehaviorProfile(
+        _respond(n_careful, profile.x_n, 1.0 - game.y),
+        _respond(vu_careful, profile.x_vu, game.y),
+        0.0,  # caution strictly dominates when signaled
+    )
+
+
+def _respond(careful_margin: float, mass: float, size: float) -> float:
+    """The whole group to its strictly cheaper action; in place inside the tie band."""
+    if careful_margin > TIE_EPS:
+        return 0.0
+    if careful_margin < -TIE_EPS:
+        return size
+    return mass
+
+
+def _conditions(game: SignalingGame, P, posterior, x_n, x_vu, x_vs):
+    """The six equilibrium implications as (name, active, margin) triples.
+
+    Scalars or aligned arrays. A group's cost gap is 1 - (1+r) * belief,
+    the regret of caution minus the expected cost of recklessness; an
+    action is active while some of the group takes it, and its margin is
+    its cost advantage over the other action.
+    """
     y = game.y
-    if costs.n_careful < costs.n_reckless - TIE_EPS:
-        t_n = 0.0
-    elif costs.n_reckless < costs.n_careful - TIE_EPS:
-        t_n = 1.0 - y
-    else:
-        t_n = profile.x_n
-    if costs.vu_careful < costs.vu_reckless - TIE_EPS:
-        t_vu = 0.0
-    elif costs.vu_reckless < costs.vu_careful - TIE_EPS:
-        t_vu = y
-    else:
-        t_vu = profile.x_vu
-    return BehaviorProfile(t_n, t_vu, 0.0)  # caution strictly dominates when signaled
+    gap_n = 1.0 - (1.0 + game.r) * P
+    gap_vu = 1.0 - (1.0 + game.r) * posterior
+    gap_vs = -game.r  # signaled drivers know the accident is real: belief 1
+    return (
+        ("n_careful_in_use", x_n < 1.0 - y, -gap_n),
+        ("n_reckless_in_use", x_n > 0.0, gap_n),
+        ("vu_careful_in_use", x_vu < y, -gap_vu),
+        ("vu_reckless_in_use", x_vu > 0.0, gap_vu),
+        ("vs_careful_in_use", x_vs < y, -gap_vs),
+        ("vs_reckless_in_use", x_vs > 0.0, gap_vs),
+    )
 
 
 def _axis(bound: float, step: float) -> np.ndarray:
@@ -285,6 +297,10 @@ def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _no_signal_posterior(P: np.ndarray, rate: float) -> np.ndarray:
+    # Unlike posterior_no_signal, which raises at P * rate = 1, this clamps.
+    # The scan reaches P = 1.0 exactly in games with beta*q = 1 and y = 0
+    # (at x_n = 1); there both V2V conditions are inactive, so the posterior
+    # is never read and the row must not abort the whole scan.
     denom = np.maximum(1.0 - P * rate, 1e-15)
     return P * (1.0 - rate) / denom
 

@@ -207,7 +207,7 @@ def _parse_beta(text: str) -> float | BetaSweep:
             raise ScenarioError(f"beta: unknown form {name!r} (expected a number or sweep)")
         _arity(name, args, 3, "beta")
         count = _number(args[2], "beta sweep count")
-        if count != int(count):
+        if not count.is_integer():
             raise ScenarioError(f"beta sweep count must be an integer, got {args[2]!r}")
         return BetaSweep(_number(args[0], "beta sweep lo"), _number(args[1], "beta sweep hi"), int(count))
     return _number(text, "beta")

@@ -164,6 +164,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "r must exceed 1" in err
 
+    def test_non_finite_sweep_count(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            "hazard = affine(0.3, 0.1)\nsignal_reach = linear(0.9)\ny = 0.5\nr = 2\n"
+            "beta = sweep(0, 1, inf)\n"
+        )
+        assert main(["sweep", str(bad)]) == 2
+        assert "beta sweep count must be an integer" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/path.scn"]) == 2
 

@@ -18,6 +18,7 @@ from hazardsignal import (
     solve_profile_P,
     sweep_beta,
 )
+from hazardsignal.cli import main
 
 
 def table_game(beta: float, y: float = 0.5, r: float = 3.0) -> SignalingGame:
@@ -99,6 +100,22 @@ class TestDegeneratePenetration:
         )
         res = solve_profile_P(game, BehaviorProfile(0.5, 0.0, 0.0))
         assert res.P == pytest.approx(game.hazard(0.5), abs=1e-10)
+
+    def test_certain_signal_of_a_certain_accident(self, tmp_path, capsys):
+        # beta*q = 1 and p(1) = 1: the scan's fixed point at x_n = 1 is P = 1.0
+        # exactly, where posterior_no_signal raises; the scan must not use it
+        game = SignalingGame(
+            beta=1.0, y=0.0, r=3.0, hazard=AffineHazard(0.5, 0.5), signal_reach=ConstantReach(1.0)
+        )
+        found = epsilon_equilibria(game, grid_step=0.01, eps=1e-3)
+        assert found.members == (BehaviorProfile(0.0, 0.0, 0.0),)
+        assert not check_equilibrium_conditions(game, BehaviorProfile(1.0, 0.0, 0.0), 1e-3).ok
+        scn = tmp_path / "certain.scn"
+        scn.write_text(
+            "hazard = affine(0.5, 0.5)\nsignal_reach = constant(1)\ny = 0\nr = 3\nbeta = 1\n"
+        )
+        assert main(["oracle-check", str(scn)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(",agree")
 
 
 class TestDesignEdges:

@@ -18,5 +18,6 @@ def test_every_name_is_the_modules_own_object():
 
 
 def test_solver_tolerance_is_not_exported():
-    assert "SOLVER_TOL" not in hs.__all__
-    assert "SOLVER_TOL" not in hs.consistency.__all__
+    assert hs.model.BISECT_TOL == 1e-12
+    assert "BISECT_TOL" not in hs.__all__
+    assert "BISECT_TOL" not in hs.model.__all__

@@ -94,6 +94,11 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="integer"):
             parse_scenario(BASIC.replace("beta = 1", "beta = sweep(0, 1, 2.5)"))
 
+    @pytest.mark.parametrize("count", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_sweep_count(self, count):
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            parse_scenario(BASIC.replace("beta = 1", f"beta = sweep(0, 1, {count})"))
+
     def test_missing_equals(self):
         with pytest.raises(ScenarioError, match="key = value"):
             parse_scenario("hazard affine(0.3, 0.1)\n")
