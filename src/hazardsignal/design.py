@@ -14,7 +14,7 @@ import dataclasses
 import enum
 import math
 
-from .model import InputError, SignalingGame
+from .model import MAX_GRID_POINTS, InputError, SignalingGame
 from .equilibrium import EquilibriumReport, Region, solve_equilibrium
 
 __all__ = [
@@ -102,6 +102,10 @@ def sweep_beta(
 
 def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced signal qualities from lo to hi inclusive."""
+    if n > MAX_GRID_POINTS:
+        raise InputError(
+            f"a grid of {n!r} signal qualities is over the limit of {MAX_GRID_POINTS} grid points"
+        )
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

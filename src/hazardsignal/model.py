@@ -9,11 +9,15 @@ three driver groups: non-V2V, unsignaled V2V, and signaled V2V.
 
 All types are immutable and validated at construction; every operation is
 a pure function, so everything here is safe for concurrent use. Curve
-evaluation accepts scalars or numpy arrays.
+evaluation accepts scalars or numpy arrays. A Python float argument is
+evaluated in pure Python, without numpy's per-call overhead, because the
+scalar solvers call curves tens of times per solve; a table curve's scalar
+path reproduces np.interp bit for bit, and arrays go through numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -50,6 +54,9 @@ BISECT_TOL = 1e-12
 #: bisection iteration cap; the bracket collapses to float resolution long before this
 MAX_ITERATIONS = 200
 
+#: most points a beta grid or an oracle lattice may hold, checked before allocating one
+MAX_GRID_POINTS = 1_000_000
+
 
 class ModelError(Exception):
     """Base class for all errors raised by this package."""
@@ -73,6 +80,8 @@ class ParameterError(ModelError):
 
 def _unit(x, what: str):
     """Validate x in [0, 1] (scalar or array), clamping float overshoot."""
+    if type(x) is float and 0.0 <= x <= 1.0:
+        return x
     if isinstance(x, (int, float)):
         v = float(x)
         if math.isnan(v) or v < -UNIT_SLACK or v > 1.0 + UNIT_SLACK:
@@ -181,9 +190,11 @@ class TableHazard:
     """Piecewise-linear hazard through (mass, probability) knots.
 
     Knots must start at d = 0, end at d = 1, and increase strictly in both
-    coordinates, with probabilities staying inside [0, 1]. Inversion is by
-    bisection to BISECT_TOL in value space; the analytic families above
-    invert in closed form instead.
+    coordinates, with probabilities staying inside [0, 1]. A Python float
+    is evaluated in pure Python with np.interp's rules and formula, so it
+    gets the same value bit for bit; arrays use np.interp itself. Inversion
+    is by bisection to BISECT_TOL in value space; the analytic families
+    above invert in closed form instead.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -209,6 +220,13 @@ class TableHazard:
             raise CurveError("hazard table probabilities must stay within [0, 1]")
         object.__setattr__(self, "_d_grid", np.array(ds))
         object.__setattr__(self, "_v_grid", np.array(vs))
+        object.__setattr__(self, "_ds", tuple(ds))
+        object.__setattr__(self, "_vs", tuple(vs))
+        # np.interp's own slope formula, so the scalar path rounds exactly as it does
+        slopes = tuple(
+            (v1 - v0) / (d1 - d0) for (d0, v0), (d1, v1) in zip(self.knots, self.knots[1:])
+        )
+        object.__setattr__(self, "_slopes", slopes)
 
     @property
     def floor(self) -> float:
@@ -220,8 +238,18 @@ class TableHazard:
 
     def __call__(self, d):
         d = _unit(d, "reckless mass")
-        out = np.interp(d, self._d_grid, self._v_grid)
-        return float(out) if np.ndim(out) == 0 else out
+        if type(d) is not float:
+            out = np.interp(d, self._d_grid, self._v_grid)
+            return float(out) if np.ndim(out) == 0 else out
+        # np.interp's branches: below the first knot, at or past the last knot,
+        # exactly on a knot (no slope, which may be inf), inside a segment
+        ds = self._ds
+        j = bisect.bisect_right(ds, d) - 1
+        if j < 0:
+            return self._vs[0]
+        if j == len(ds) - 1 or ds[j] == d:
+            return self._vs[j]
+        return self._slopes[j] * (d - ds[j]) + self._vs[j]
 
     def inverse(self, v: float) -> float:
         v = _target(v, self.floor, self.ceiling)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    MAX_GRID_POINTS,
     BehaviorProfile,
     InputError,
     SignalingGame,
@@ -136,6 +137,14 @@ def epsilon_equilibria(
         raise InputError(
             f"grid_step {grid_step!r} exceeds min(y, 1-y) = {min(y, 1.0 - y):.12g}; "
             "the lattice would skip an entire group"
+        )
+    # at most bound/step + 2 points per axis, counted in floats: a tiny step gives inf,
+    # not an OverflowError, and nothing is allocated before the check
+    size = math.prod(b / grid_step + 2.0 if b > 0.0 else 1.0 for b in (1.0 - y, y))
+    if size > MAX_GRID_POINTS:
+        raise InputError(
+            f"grid_step {grid_step!r} asks for a lattice of up to {size:.4g} profiles, "
+            f"over the limit of {MAX_GRID_POINTS} grid points"
         )
 
     xn_axis = _axis(1.0 - y, grid_step)

@@ -173,6 +173,30 @@ class TestErrorPaths:
         assert main(["sweep", str(bad)]) == 2
         assert "beta sweep count must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "{huge_sweep}"],
+            ["sweep", str(BACKFIRE), "--grid", "1000000000000"],
+            ["optimize-s", str(ZERO_OPT), "--grid", "1000000000000"],
+            ["oracle-check", str(BACKFIRE), "--grid-step", "1e-6"],
+            # bound/step overflows to inf, which the lattice size must not pass to int()
+            ["oracle-check", str(BACKFIRE), "--grid-step", "1e-320"],
+        ],
+        ids=[
+            "scenario-sweep", "sweep-grid", "optimize-s-grid", "oracle-grid-step",
+            "oracle-grid-step-inf",
+        ],
+    )
+    def test_grid_over_the_limit(self, argv, tmp_path, capsys):
+        huge = tmp_path / "huge.scn"
+        huge.write_text(
+            "hazard = affine(0.3, 0.1)\nsignal_reach = linear(0.9)\ny = 0.5\nr = 2\n"
+            "beta = sweep(0, 1, 1e12)\n"
+        )
+        assert main([a.format(huge_sweep=huge) for a in argv]) == 2
+        assert "over the limit of 1000000 grid points" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/path.scn"]) == 2
 

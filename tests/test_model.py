@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hazardsignal import (
     AffineHazard,
@@ -31,7 +32,44 @@ def affine_curves(draw):
 
 power_curves = st.floats(min_value=0.1, max_value=10.0).map(PowerHazard)
 
-hazard_curves = st.one_of(affine_curves(), power_curves)
+
+@st.composite
+def table_curves(draw):
+    """2-6 knots, every segment at least 1/41 wide and rising at least 0.0024,
+    with the end knots sometimes 1e-13 off 0 and 1, as validation allows."""
+    segments = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(1.0, 10.0), min_size=segments, max_size=segments))
+    rises = draw(st.lists(st.floats(1.0, 10.0), min_size=segments, max_size=segments))
+    floor = draw(st.floats(0.0, 0.3))
+    span = draw(st.floats(0.1, 1.0 - floor))
+    ds = [sum(widths[:i]) / sum(widths) for i in range(segments + 1)]
+    vs = [min(floor + span * sum(rises[:i]) / sum(rises), 1.0) for i in range(segments + 1)]
+    ds[0] = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    ds[-1] = draw(st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13]))
+    return TableHazard(tuple(zip(ds, vs)))
+
+
+hazard_curves = st.one_of(affine_curves(), power_curves, table_curves())
+
+#: tables of test_table_round_trip; the second has a near-vertical segment,
+#: where bisection stops on bracket width
+ROUND_TRIP_TABLES = (
+    ((0.0, 0.05), (0.3, 0.2), (0.7, 0.5), (1.0, 0.95)),
+    ((0.0, 0.05), (0.5, 0.1), (0.5 + 5e-6, 0.6), (1.0, 0.95)),
+)
+
+#: one curve of each family, for the argument checks shared by all of them
+every_family = pytest.mark.parametrize(
+    "curve",
+    [
+        AffineHazard(0.3, 0.1),
+        PowerHazard(3.0),
+        TableHazard(ROUND_TRIP_TABLES[0]),
+        LinearReach(0.9),
+        ConstantReach(0.4),
+    ],
+    ids=lambda c: type(c).__name__,
+)
 
 
 class TestHazardEval:
@@ -53,6 +91,19 @@ class TestHazardEval:
         assert curve(0.0) == 0.05
         assert curve(0.25) == pytest.approx(0.175)
         assert curve(1.0) == 0.8
+
+    @given(table_curves(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    @example(TableHazard(((1e-13, 0.1), (0.5, 0.4), (1.0, 0.9))), [])
+    @example(TableHazard(((-1e-13, 0.1), (0.5, 0.4), (1.0, 0.9))), [])
+    @example(TableHazard(((0.0, 0.1), (0.5, 0.4), (1.0 - 1e-13, 0.9))), [])
+    @example(TableHazard(((0.0, 0.1), (0.5, 0.4), (1.0 + 1e-13, 0.9))), [])
+    def test_table_scalar_matches_np_interp_bits(self, curve, points):
+        ds = [d for d, _ in curve.knots]
+        vs = [v for _, v in curve.knots]
+        points = points + ds + [math.nextafter(d, math.inf) for d in ds] + [0.0, 1.0]
+        for x in (x for x in points if 0.0 <= x <= 1.0):
+            expected = float(np.interp(x, ds, vs))
+            assert curve(x).hex() == expected.hex(), (curve.knots, x)
 
     @given(hazard_curves, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_strictly_increasing(self, curve, a, b):
@@ -80,16 +131,67 @@ class TestHazardInverse:
         assert abs(curve(curve.inverse(v)) - v) <= 1e-10
 
     def test_table_round_trip(self):
-        tables = (
-            ((0.0, 0.05), (0.3, 0.2), (0.7, 0.5), (1.0, 0.95)),
-            # a near-vertical segment, where bisection stops on bracket width
-            ((0.0, 0.05), (0.5, 0.1), (0.5 + 5e-6, 0.6), (1.0, 0.95)),
-        )
-        for knots in tables:
+        for knots in ROUND_TRIP_TABLES:
             curve = TableHazard(knots)
             for i in range(41):
                 v = 0.05 + (0.95 - 0.05) * i / 40
                 assert abs(curve(curve.inverse(v)) - v) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "knots,expected",
+        [
+            (
+                ROUND_TRIP_TABLES[0],
+                ["0x1.0000000000000p-39", "0x1.3333333340000p-3", "0x1.0000000000000p-1",
+                 "0x1.8888888888000p-1", "0x1.ffffffffff000p-1"],
+            ),
+            (
+                ROUND_TRIP_TABLES[1],
+                ["0x1.0000000000000p-37", "0x1.000008637bd06p-1", "0x1.000053e2d623ap-1",
+                 "0x1.0000a7c5ae000p-1", "0x1.fffffffffe000p-1"],
+            ),
+        ],
+        ids=["smooth", "near-vertical"],
+    )
+    def test_table_inverse_values_pinned(self, knots, expected):
+        # recorded from the bisection as it stands; any change to it shows here
+        curve = TableHazard(knots)
+        got = [curve.inverse(v).hex() for v in (0.05, 0.125, 0.35, 0.6, 0.95)]
+        assert got == expected
+
+
+class TestCurveArguments:
+    """Every family validates its argument the same way for every input type."""
+
+    @every_family
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.3, 0.77, 1.0])
+    def test_float_matches_numpy_scalar(self, curve, x):
+        # np.float64 takes the general check; the result is a Python float either way
+        got, ref = curve(x), curve(np.float64(x))
+        assert type(got) is float and type(ref) is float
+        assert got.hex() == ref.hex()
+
+    @every_family
+    @pytest.mark.parametrize("x", [1, True, 1.0 + 5e-10, np.float64(1.0 + 5e-10)])
+    def test_clamped_or_converted_like_one(self, curve, x):
+        got = curve(x)
+        assert type(got) is float
+        assert got.hex() == curve(1.0).hex()
+
+    @every_family
+    def test_negative_zero_kept(self, curve):
+        # -0.0 passes the check unchanged, so its sign survives wherever the formula keeps it
+        expected = {
+            AffineHazard: 0.1, PowerHazard: -0.0, TableHazard: 0.05, LinearReach: -0.0,
+            ConstantReach: 0.4,
+        }
+        assert curve(-0.0).hex() == expected[type(curve)].hex()
+
+    @every_family
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-8, 1.0 + 1e-8])
+    def test_outside_unit_interval_rejected(self, curve, x):
+        with pytest.raises(InputError):
+            curve(x)
 
 
 class TestCurveValidation:
