@@ -12,7 +12,8 @@ a pure function, so everything here is safe for concurrent use. Curve
 evaluation accepts scalars or numpy arrays. A Python float argument is
 evaluated in pure Python, without numpy's per-call overhead, because the
 scalar solvers call curves tens of times per solve; a table curve's scalar
-path reproduces np.interp bit for bit, and arrays go through numpy.
+path reproduces np.interp bit for bit, and arrays go through numpy. numpy
+is imported only by those array branches, so scalar work never loads it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "ModelError",
@@ -87,6 +86,8 @@ def _unit(x, what: str):
         if math.isnan(v) or v < -UNIT_SLACK or v > 1.0 + UNIT_SLACK:
             raise InputError(f"{what} must lie in [0, 1], got {x!r}")
         return min(max(v, 0.0), 1.0)
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < -UNIT_SLACK) or np.any(arr > 1.0 + UNIT_SLACK):
         raise InputError(f"{what} must lie in [0, 1]")
@@ -192,9 +193,10 @@ class TableHazard:
     Knots must start at d = 0, end at d = 1, and increase strictly in both
     coordinates, with probabilities staying inside [0, 1]. A Python float
     is evaluated in pure Python with np.interp's rules and formula, so it
-    gets the same value bit for bit; arrays use np.interp itself. Inversion
-    is by bisection to BISECT_TOL in value space; the analytic families
-    above invert in closed form instead.
+    gets the same value bit for bit; arrays use np.interp itself on the same
+    knot coordinates, so the order of scalar and array calls never matters.
+    Inversion is by bisection to BISECT_TOL in value space; the analytic
+    families above invert in closed form instead.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -218,8 +220,6 @@ class TableHazard:
                 )
         if vs[0] < 0 or vs[-1] > 1:
             raise CurveError("hazard table probabilities must stay within [0, 1]")
-        object.__setattr__(self, "_d_grid", np.array(ds))
-        object.__setattr__(self, "_v_grid", np.array(vs))
         object.__setattr__(self, "_ds", tuple(ds))
         object.__setattr__(self, "_vs", tuple(vs))
         # np.interp's own slope formula, so the scalar path rounds exactly as it does
@@ -239,7 +239,9 @@ class TableHazard:
     def __call__(self, d):
         d = _unit(d, "reckless mass")
         if type(d) is not float:
-            out = np.interp(d, self._d_grid, self._v_grid)
+            import numpy as np
+
+            out = np.interp(d, self._ds, self._vs)
             return float(out) if np.ndim(out) == 0 else out
         # np.interp's branches: below the first knot, at or past the last knot,
         # exactly on a knot (no slope, which may be inf), inside a segment
@@ -286,6 +288,8 @@ class ConstantReach:
         y = _unit(y, "penetration")
         if isinstance(y, float):
             return self.value
+        import numpy as np
+
         return np.full_like(y, self.value)
 
 

@@ -6,14 +6,16 @@ equilibrium implications (any action in use must be weakly cost-minimal,
 with slack eps) evaluated at a profile's own consistent accident
 probability. That keeps the brute-force search and best-response dynamics
 usable as cross-checks of the analytic solver.
+
+Only the eps-equilibrium scan works on arrays, so only its functions import
+numpy; importing this module does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     MAX_GRID_POINTS,
@@ -23,6 +25,9 @@ from .model import (
     validate_profile,
 )
 from .consistency import solve_profile_P
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConditionStatus",
@@ -128,10 +133,13 @@ def epsilon_equilibria(
     caution (margin r > eps for any sane eps), so such profiles can never
     pass. Equal-cost ties keep candidates in place, hence corners matter.
     """
-    if not eps > 0:
-        raise InputError(f"eps must be positive, got {eps!r}")
-    if not grid_step > 0:
-        raise InputError(f"grid_step must be positive, got {grid_step!r}")
+    import numpy as np
+
+    # an infinite step would put inf * 0 = nan on the lattice; an infinite eps admits everything
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be finite and positive, got {eps!r}")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise InputError(f"grid_step must be finite and positive, got {grid_step!r}")
     y = game.y
     if 0.0 < y < 1.0 and grid_step > min(y, 1.0 - y) + 1e-12:
         raise InputError(
@@ -270,6 +278,8 @@ def _conditions(game: SignalingGame, P, posterior, x_n, x_vu, x_vs):
 
 def _axis(bound: float, step: float) -> np.ndarray:
     """Lattice 0, step, 2*step, ... with the exact bound as the last point."""
+    import numpy as np
+
     if bound <= 0.0:
         return np.array([0.0])
     n = int(math.floor(bound / step + 1e-9))
@@ -283,6 +293,8 @@ def _axis(bound: float, step: float) -> np.ndarray:
 
 def _consistent_P(game: SignalingGame, x_n: np.ndarray, x_vu: np.ndarray) -> np.ndarray:
     """Vectorized fixed-point bisection, same equation as solve_profile_P."""
+    import numpy as np
+
     rate = game.signal_rate
     hazard = game.hazard
     return _bisect_rows(
@@ -297,6 +309,8 @@ def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     above(mid) is a boolean array, True in the rows whose root lies below mid.
     """
+    import numpy as np
+
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         down = above(mid)
@@ -306,6 +320,8 @@ def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _no_signal_posterior(P: np.ndarray, rate: float) -> np.ndarray:
+    import numpy as np
+
     # Unlike posterior_no_signal, which raises at P * rate = 1, this clamps.
     # The scan reaches P = 1.0 exactly in games with beta*q = 1 and y = 0
     # (at x_n = 1); there both V2V conditions are inactive, so the posterior
@@ -336,6 +352,8 @@ def _gap_crossings(
     Crossings are only candidates; membership is still decided by the
     cost conditions at each candidate's own solved P.
     """
+    import numpy as np
+
     rate = game.signal_rate
     hazard = game.hazard
     t_n = 1.0 / (1.0 + game.r)

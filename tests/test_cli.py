@@ -197,6 +197,25 @@ class TestErrorPaths:
         assert main([a.format(huge_sweep=huge) for a in argv]) == 2
         assert "over the limit of 1000000 grid points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--grid-step", "grid_step must be finite and positive, got inf"),
+            ("--eps", "eps must be finite and positive, got inf"),
+        ],
+        ids=["grid-step", "eps"],
+    )
+    def test_infinite_oracle_parameter(self, option, message, tmp_path, capsys):
+        # y = 0 admits any finite step, so only finiteness rejects an infinite one
+        scn = tmp_path / "y0.scn"
+        scn.write_text(
+            "hazard = affine(0.5, 0.4)\nsignal_reach = linear(1)\ny = 0\nr = 3\nbeta = 0.5\n"
+        )
+        assert main(["oracle-check", str(scn), option, "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/path.scn"]) == 2
 

@@ -105,6 +105,23 @@ class TestHazardEval:
             expected = float(np.interp(x, ds, vs))
             assert curve(x).hex() == expected.hex(), (curve.knots, x)
 
+    @given(table_curves(), st.lists(st.floats(0.0, 1.0), max_size=20), st.booleans())
+    def test_table_array_matches_np_interp_bits(self, curve, points, scalar_first):
+        """An array call equals np.interp on numpy knot grids, on a fresh curve
+        whose first call is either a scalar or that array call."""
+        ds = [d for d, _ in curve.knots]
+        vs = [v for _, v in curve.knots]
+        points = points + ds + [math.nextafter(d, math.inf) for d in ds] + [0.0, 1.0]
+        points = [x for x in points if 0.0 <= x <= 1.0]
+        if scalar_first:
+            scalars = [curve(x) for x in points]
+        got = curve(np.array(points))
+        if not scalar_first:
+            scalars = [curve(x) for x in points]
+        expected = np.interp(np.array(points), np.array(ds), np.array(vs))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+        assert [v.hex() for v in scalars] == [v.hex() for v in got.tolist()]
+
     @given(hazard_curves, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_strictly_increasing(self, curve, a, b):
         lo, hi = min(a, b), max(a, b)

@@ -1,12 +1,16 @@
 """Brute-force eps-equilibrium scan and best-response dynamics."""
 
+import math
 import random
 
 import pytest
 
 from hazardsignal import (
+    AffineHazard,
     BehaviorProfile,
     InputError,
+    LinearReach,
+    SignalingGame,
     best_response_dynamics,
     check_equilibrium_conditions,
     epsilon_equilibria,
@@ -87,8 +91,6 @@ class TestEpsilonEquilibria:
         assert any(linf(m, rep.x_ne.x_n, rep.x_ne.x_vu) <= 1e-6 for m in found.members)
 
     def test_nivr_interior_equilibrium_found(self):
-        from hazardsignal import AffineHazard, LinearReach, SignalingGame
-
         game = SignalingGame(
             beta=0.5, y=0.3, r=2.0, hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9)
         )
@@ -135,6 +137,21 @@ class TestEpsilonEquilibria:
             epsilon_equilibria(game, grid_step=0.01, eps=0.0)
         with pytest.raises(InputError):
             epsilon_equilibria(game, grid_step=0.2, eps=1e-3)  # exceeds min(y, 1-y)
+
+    @pytest.mark.parametrize(
+        "grid_step, eps",
+        [(math.inf, 1e-3), (0.5, math.inf), (math.nan, 1e-3), (0.5, math.nan)],
+        ids=["step-inf", "eps-inf", "step-nan", "eps-nan"],
+    )
+    def test_non_finite_parameters_rejected(self, grid_step, eps):
+        # y = 0 admits any step, so only finiteness stands between inf and a
+        # lattice of inf * 0 = nan; an infinite eps would admit every profile
+        game = SignalingGame(0.5, 0.0, 3.0, AffineHazard(0.5, 0.4), LinearReach(1.0))
+        with pytest.raises(InputError, match="must be finite and positive"):
+            epsilon_equilibria(game, grid_step=grid_step, eps=eps)
+        assert epsilon_equilibria(game, grid_step=1e308, eps=1e-3).members == (
+            BehaviorProfile(0.0, 0.0, 0.0),
+        )
 
 
 class TestBestResponseDynamics:
