@@ -89,7 +89,8 @@ def _unit(x, what: str):
     import numpy as np
 
     arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < -UNIT_SLACK) or np.any(arr > 1.0 + UNIT_SLACK):
+    # min and max propagate NaN, which then fails the comparison
+    if arr.size and not (arr.min() >= -UNIT_SLACK and arr.max() <= 1.0 + UNIT_SLACK):
         raise InputError(f"{what} must lie in [0, 1]")
     return np.clip(arr, 0.0, 1.0)
 

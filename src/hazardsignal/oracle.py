@@ -3,9 +3,14 @@
 Nothing in this module consults the region classification or the
 closed-form solutions: membership is decided purely by the six
 equilibrium implications (any action in use must be weakly cost-minimal,
-with slack eps) evaluated at a profile's own consistent accident
-probability. That keeps the brute-force search and best-response dynamics
-usable as cross-checks of the analytic solver.
+with slack eps) at a profile's own consistent accident probability. That
+keeps the brute-force search and best-response dynamics usable as
+cross-checks of the analytic solver.
+
+A single profile's check solves for that probability. The scan does not:
+each implication is a bound on it, and the consistency map is strictly
+increasing with its root there, so the map's sign at the bound decides the
+implication with one curve call for the whole lattice.
 
 Only the eps-equilibrium scan works on arrays, so only its functions import
 numpy; importing this module does not.
@@ -88,8 +93,8 @@ def check_equilibrium_conditions(
     game: SignalingGame, profile: BehaviorProfile, eps: float
 ) -> ConditionCheck:
     """Test the six equilibrium implications at the profile's own fixed point."""
-    if not eps >= 0:
-        raise InputError(f"eps must be nonnegative, got {eps!r}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InputError(f"eps must be finite and nonnegative, got {eps!r}")
     res = solve_profile_P(game, profile)
     conditions = tuple(
         ConditionStatus(name, active, (not active) or margin >= -eps, margin)
@@ -129,6 +134,8 @@ def epsilon_equilibria(
     is interior even though one always exists; the crossing candidates
     close that hole without consulting any closed form.
 
+    Membership is the sign of the consistency map at each active
+    implication's bound on P (see _member_mask), not a per-point solve.
     x_vs > 0 is excluded analytically: signaled drivers strictly prefer
     caution (margin r > eps for any sane eps), so such profiles can never
     pass. Equal-cost ties keep candidates in place, hence corners matter.
@@ -161,13 +168,7 @@ def epsilon_equilibria(
     cross_n, cross_vu = _gap_crossings(game, xn_axis, xvu_axis)
     xs = np.concatenate([grid_n.ravel(), cross_n])
     vus = np.concatenate([grid_vu.ravel(), cross_vu])
-    P = _consistent_P(game, xs, vus)
-    rate = game.signal_rate
-    posterior = _no_signal_posterior(P, rate)
-    ok = np.ones(len(xs), dtype=bool)
-    for _, active, margin in _conditions(game, P, posterior, xs, vus, 0.0):
-        # active is a Python bool for the scalar x_vs, and ~True == -2
-        ok &= ~np.asarray(active) | (margin >= -eps)
+    ok = _member_mask(game, xs, vus, eps)
     points = np.column_stack([xs[ok], vus[ok]])
     if len(points):
         points = np.unique(points, axis=0)
@@ -257,10 +258,11 @@ def _respond(careful_margin: float, mass: float, size: float) -> float:
 def _conditions(game: SignalingGame, P, posterior, x_n, x_vu, x_vs):
     """The six equilibrium implications as (name, active, margin) triples.
 
-    Scalars or aligned arrays. A group's cost gap is 1 - (1+r) * belief,
-    the regret of caution minus the expected cost of recklessness; an
-    action is active while some of the group takes it, and its margin is
-    its cost advantage over the other action.
+    A group's cost gap is 1 - (1+r) * belief, the regret of caution minus
+    the expected cost of recklessness; an action is active while some of
+    the group takes it, and its margin is its cost advantage over the other
+    action. The scan applies the same implications as bounds on P
+    (_member_mask).
     """
     y = game.y
     gap_n = 1.0 - (1.0 + game.r) * P
@@ -291,19 +293,6 @@ def _axis(bound: float, step: float) -> np.ndarray:
     return pts
 
 
-def _consistent_P(game: SignalingGame, x_n: np.ndarray, x_vu: np.ndarray) -> np.ndarray:
-    """Vectorized fixed-point bisection, same equation as solve_profile_P."""
-    import numpy as np
-
-    rate = game.signal_rate
-    hazard = game.hazard
-    return _bisect_rows(
-        lambda P: P - hazard(np.clip(x_n + (1.0 - P * rate) * x_vu, 0.0, 1.0)) > 0.0,
-        np.full_like(x_n, hazard.floor, dtype=float),
-        np.full_like(x_n, hazard.ceiling, dtype=float),
-    )
-
-
 def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Row-wise bisection, 60 halvings of every [lo, hi] bracket.
 
@@ -319,15 +308,54 @@ def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _no_signal_posterior(P: np.ndarray, rate: float) -> np.ndarray:
+def _consistency_map(game: SignalingGame, P, x_n, x_vu) -> np.ndarray:
+    """F(P) = P - p(x_n + (1 - P*rate)*x_vu), element-wise over the masses.
+
+    Strictly increasing in P, with its root at the profile's consistent
+    accident probability P*: so P* >= c exactly when F(c) <= 0, and
+    P* <= c exactly when F(c) >= 0.
+    """
     import numpy as np
 
-    # Unlike posterior_no_signal, which raises at P * rate = 1, this clamps.
-    # The scan reaches P = 1.0 exactly in games with beta*q = 1 and y = 0
-    # (at x_n = 1); there both V2V conditions are inactive, so the posterior
-    # is never read and the row must not abort the whole scan.
-    denom = np.maximum(1.0 - P * rate, 1e-15)
-    return P * (1.0 - rate) / denom
+    arg = x_n + (1.0 - P * game.signal_rate) * x_vu
+    return P - game.hazard(np.clip(arg, 0.0, 1.0))
+
+
+def _member_mask(
+    game: SignalingGame, xs: np.ndarray, vus: np.ndarray, eps: float
+) -> np.ndarray:
+    """Which profiles (x_n, x_vu, 0) pass the six implications with slack eps.
+
+    An action in use may cost at most eps more than the other, which bounds
+    the group's accident belief to [lo, hi] = [(1-eps)/(1+r), (1+eps)/(1+r)]:
+    lo while some of the group is careful, hi while some is reckless. The
+    non-V2V belief is P itself. The unsignaled posterior a = P(1-rate)/(1-P*rate)
+    rises with P, so its bound maps to P = a/(1 - rate + a*rate). Each active
+    bound is then one sign test of F; the signaled pair always holds at
+    x_vs = 0, where caution is in use with margin r.
+    """
+    y, rate = game.y, game.signal_rate
+    lo, hi = (1.0 - eps) / (1.0 + game.r), (1.0 + eps) / (1.0 + game.r)
+
+    def at_least(c: float) -> np.ndarray:
+        return _consistency_map(game, c, xs, vus) <= 0.0
+
+    def at_most(c: float) -> np.ndarray:
+        return _consistency_map(game, c, xs, vus) >= 0.0
+
+    if rate < 1.0:
+        # a belief bound of 0 or less holds at any P, and so does P >= 0
+        vu_careful = at_least(max(lo, 0.0) / (1.0 - rate + max(lo, 0.0) * rate))
+        vu_reckless = at_most(hi / (1.0 - rate + hi * rate))
+    else:
+        # every accident is shown, so silence means none: the posterior is 0
+        vu_careful, vu_reckless = lo <= 0.0, True
+    return (
+        (~(xs < 1.0 - y) | at_least(lo))
+        & (~(xs > 0.0) | at_most(hi))
+        & (~(vus < y) | vu_careful)
+        & (~(vus > 0.0) | vu_reckless)
+    )
 
 
 def _gap_crossings(
@@ -342,37 +370,29 @@ def _gap_crossings(
     sits at a lattice corner). Returns aligned (x_n, x_vu) candidate arrays.
 
     The sign test avoids nesting a full fixed-point solve per bisection
-    step: with threshold t for the group's belief, the consistency map
-    F(P) = P - p(x_n + (1 - P*rate)*x_vu) is strictly increasing in P
-    with root P*, so P* < t exactly when F(t) > 0, one curve evaluation.
-    (For the unsignaled group the posterior is increasing in P, which
-    moves its 1/(1+r) threshold to t = 1/(1 + r(1 - rate)) in P-space.)
-    At P = t the curve argument is scale * m + offset for moving mass m:
-    m + c*x_vu on a column and x_n + c*m on a row, with c = 1 - t*rate.
-    Crossings are only candidates; membership is still decided by the
-    cost conditions at each candidate's own solved P.
+    step: with threshold t for the group's belief, P* < t exactly when
+    F(t) > 0 (see _consistency_map), one curve evaluation. (For the
+    unsignaled group the posterior is increasing in P, which moves its
+    1/(1+r) threshold to t = 1/(1 + r(1 - rate)) in P-space.) Crossings
+    are only candidates; membership is still decided by _member_mask.
     """
     import numpy as np
 
     rate = game.signal_rate
-    hazard = game.hazard
     t_n = 1.0 / (1.0 + game.r)
     t_vu = 1.0 / (1.0 + game.r * (1.0 - rate))
     moves_n = np.repeat([True, False], [len(xvu_axis), len(xn_axis)])
     t = np.where(moves_n, t_n, t_vu)
     bound = np.where(moves_n, 1.0 - game.y, game.y)
-    scale = np.where(moves_n, 1.0, 1.0 - t_vu * rate)
-    offset = np.concatenate([(1.0 - t_n * rate) * xvu_axis, xn_axis])
     fixed = np.concatenate([xvu_axis, xn_axis])
 
-    def gap_positive(m, t, scale, offset) -> np.ndarray:
-        return t - hazard(np.clip(scale * m + offset, 0.0, 1.0)) > 0.0
+    def gap_positive(m, moves_n, t, fixed) -> np.ndarray:
+        x_n, x_vu = np.where(moves_n, m, fixed), np.where(moves_n, fixed, m)
+        return _consistency_map(game, t, x_n, x_vu) > 0.0
 
-    sign_change = gap_positive(0.0, t, scale, offset) & ~gap_positive(bound, t, scale, offset)
+    sign_change = gap_positive(0.0, moves_n, t, fixed) & ~gap_positive(bound, moves_n, t, fixed)
     if not np.any(sign_change):
         return np.array([]), np.array([])
-    moves_n, t, bound, scale, offset, fixed = (
-        a[sign_change] for a in (moves_n, t, bound, scale, offset, fixed)
-    )
-    m = _bisect_rows(lambda m: ~gap_positive(m, t, scale, offset), np.zeros_like(bound), bound)
+    moves_n, t, bound, fixed = (a[sign_change] for a in (moves_n, t, bound, fixed))
+    m = _bisect_rows(lambda m: ~gap_positive(m, moves_n, t, fixed), np.zeros_like(bound), bound)
     return np.where(moves_n, m, fixed), np.where(moves_n, fixed, m)

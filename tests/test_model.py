@@ -209,6 +209,22 @@ class TestCurveArguments:
     def test_outside_unit_interval_rejected(self, curve, x):
         with pytest.raises(InputError):
             curve(x)
+        # the array check: one bad element among good ones, and a 0-d array
+        with pytest.raises(InputError):
+            curve(np.array([0.0, 0.5, x, 1.0]))
+        with pytest.raises(InputError):
+            curve(np.array(x))
+
+    @every_family
+    def test_array_overshoot_clamped(self, curve):
+        got = curve(np.array([-5e-10, 0.5, 1.0 + 5e-10]))
+        ref = curve(np.array([0.0, 0.5, 1.0]))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+
+    @every_family
+    def test_empty_array_gives_empty_array(self, curve):
+        got = curve(np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
 class TestCurveValidation:

@@ -1,5 +1,6 @@
 """Brute-force eps-equilibrium scan and best-response dynamics."""
 
+import hashlib
 import math
 import random
 
@@ -8,9 +9,11 @@ import pytest
 from hazardsignal import (
     AffineHazard,
     BehaviorProfile,
+    ConstantReach,
     InputError,
     LinearReach,
     SignalingGame,
+    TableHazard,
     best_response_dynamics,
     check_equilibrium_conditions,
     epsilon_equilibria,
@@ -23,6 +26,14 @@ from conftest import (
     random_game,
     steep_hazard_game,
 )
+
+
+def lattice(bound, step):
+    """The scan's axis: 0, step, 2*step, ... with the exact bound as the last point."""
+    pts = [k * step for k in range(math.floor(bound / step + 1e-9) + 1)]
+    if bound - pts[-1] > 1e-12:
+        return pts + [bound]
+    return pts[:-1] + [bound]
 
 
 def linf(profile, x_n, x_vu):
@@ -60,6 +71,15 @@ class TestConditionCheck:
             game, BehaviorProfile(0.05, 0.3, 0.0), eps=game.r
         )
         assert check.ok
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_eps_rejected(self, eps):
+        # signaled drivers reckless: fails at any finite eps, so an infinite one must not pass it
+        game = SignalingGame(0.5, 0.5, 3.0, AffineHazard(0.5, 0.4), LinearReach(1.0))
+        profile = BehaviorProfile(0.5, 0.0, 0.5)
+        assert not check_equilibrium_conditions(game, profile, 1e-3).ok
+        with pytest.raises(InputError, match="eps must be finite and nonnegative"):
+            check_equilibrium_conditions(game, profile, eps)
 
     def test_binding_reports_indifference(self):
         game = adoption_backfire_game(0.0)  # NCVI at beta = 0: vu group indifferent
@@ -115,6 +135,26 @@ class TestEpsilonEquilibria:
             for member in found.members[:50]:
                 assert check_equilibrium_conditions(game, member, eps=1.1e-3).ok
 
+    def test_lattice_verdicts_match_scalar_conditions(self):
+        # the scalar check solves each profile's P, so it is an independent reference
+        # for the scan's sign tests: away from the band edges both give one verdict
+        rng = random.Random(702)
+        step, eps = 0.05, 0.5
+        passing = 0
+        for _ in range(12):
+            game = random_game(rng)
+            found = epsilon_equilibria(game, grid_step=step, eps=eps)
+            members = {(m.x_n, m.x_vu) for m in found.members}
+            for x_n in lattice(1.0 - game.y, step):
+                for x_vu in lattice(game.y, step):
+                    profile = BehaviorProfile(x_n, x_vu, 0.0)
+                    if check_equilibrium_conditions(game, profile, 0.9 * eps).ok:
+                        passing += 1
+                        assert (x_n, x_vu) in members, (game, profile)
+                    if (x_n, x_vu) in members:
+                        assert check_equilibrium_conditions(game, profile, 1.1 * eps).ok
+        assert passing > 50
+
     def test_agreement_with_closed_form(self):
         rng = random.Random(701)
         for _ in range(30):
@@ -152,6 +192,44 @@ class TestEpsilonEquilibria:
         assert epsilon_equilibria(game, grid_step=1e308, eps=1e-3).members == (
             BehaviorProfile(0.0, 0.0, 0.0),
         )
+
+    def test_certain_signal_leaves_a_zero_posterior(self):
+        # beta*q = 1: silence means no accident, so unsignaled caution never pays, even
+        # where p rounds to 1.0 and every profile's consistent P is 1
+        game = SignalingGame(1.0, 0.5, 3.0, AffineHazard(1e-17, 1.0), ConstantReach(1.0))
+        found = epsilon_equilibria(game, grid_step=0.01, eps=1e-3)
+        assert found.members == (BehaviorProfile(0.0, 0.5, 0.0),)
+
+    def test_members_pinned(self):
+        # every member's float.hex over a fixed game set, recorded from the scan as it
+        # stands; a change in how membership is decided must not move a single bit.
+        # Power hazards are left out: np.power is not correctly rounded, so its last
+        # bit (and with it a crossing's) may differ between CPUs and numpy builds.
+        rng = random.Random(7)
+        games = [g for g in (random_game(rng) for _ in range(24))
+                 if isinstance(g.hazard, AffineHazard)]
+        games.append(SignalingGame(
+            0.6, 0.5, 3.65, TableHazard(((0.0, 0.1), (0.4, 0.15), (1.0, 0.6))), LinearReach(0.83)
+        ))
+        # beta*q = 1: silence means no accident; y = 0 with p(1) = 1 reaches P = 1.0
+        games += [
+            SignalingGame(1.0, y, 3.0, hazard, ConstantReach(1.0))
+            for y, hazard in (
+                (0.0, AffineHazard(0.5, 0.5)),
+                (0.5, AffineHazard(0.5, 0.5)),
+                (0.5, AffineHazard(0.6, 0.2)),
+                (1.0, AffineHazard(0.3, 0.1)),
+            )
+        ]
+        digest = hashlib.sha256()
+        # at eps 0.05 the members are whole lattice bands, so their edges are pinned too
+        for eps in (1e-3, 0.05):
+            for game in games:
+                digest.update(b"game\n")
+                for m in epsilon_equilibria(game, 0.01, eps).members:
+                    digest.update(f"{m.x_n.hex()} {m.x_vu.hex()} {m.x_vs.hex()}\n".encode())
+        assert len(games) == 22
+        assert digest.hexdigest() == "2919b5ec79934fa15988a0ae688c699b598330361ab828acff67bd96db60a440"
 
 
 class TestBestResponseDynamics:
