@@ -27,7 +27,7 @@ from .model import (
     ModelError,
     SignalingGame,
 )
-from .consistency import group_costs, posterior_no_signal, solve_profile_P
+from .consistency import DegenerateSignalError, group_costs, posterior_no_signal, solve_profile_P
 
 __all__ = [
     "Region",
@@ -120,7 +120,10 @@ def solve_equilibrium(game: SignalingGame) -> EquilibriumReport:
     elif region is Region.NCVI:
         share = 1.0 - rate * t_unsignaled
         if share <= 1e-15:
-            raise LogicError("NCVI closed form degenerate: beta*q(y) * P reaches 1")
+            # the invariant posterior_no_signal guards, at the same threshold
+            raise DegenerateSignalError(
+                "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined"
+            )
         x_vu = p.inverse(t_unsignaled) / share
         x = BehaviorProfile(0.0, _bounded(x_vu, 0.0, y, "unsignaled V2V reckless mass", region), 0.0)
         P = t_unsignaled

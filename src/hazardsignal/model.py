@@ -50,6 +50,9 @@ GROUP_SLACK = 1e-9
 #: bisection stops once |f(x)| is within this (or the bracket is 4 ulp wide)
 BISECT_TOL = 1e-12
 
+#: bisection also stops once its bracket is narrower than this (4 ulp of 1)
+_BRACKET_MIN = 4.0 * math.ulp(1.0)
+
 #: bisection iteration cap; the bracket collapses to float resolution long before this
 MAX_ITERATIONS = 200
 
@@ -103,7 +106,7 @@ def _bisect(f, lo: float, hi: float) -> tuple[float, float]:
     for _ in range(MAX_ITERATIONS):
         x = 0.5 * (lo + hi)
         fx = f(x)
-        if abs(fx) <= BISECT_TOL or (hi - lo) < 4.0 * math.ulp(1.0):
+        if abs(fx) <= BISECT_TOL or (hi - lo) < _BRACKET_MIN:
             break
         if fx > 0.0:
             hi = x

@@ -44,6 +44,13 @@ __all__ = [
 ]
 
 _KEYS = ("hazard", "signal_reach", "y", "r", "beta")
+#: each analytic family once: scenario name -> (class, constructor fields in
+#: order); parsing and canonical spelling both read these tables
+_HAZARDS = {
+    "affine": (AffineHazard, ("slope", "intercept")),
+    "power": (PowerHazard, ("exponent",)),
+}
+_REACHES = {"linear": (LinearReach, ("slope",)), "constant": (ConstantReach, ("value",))}
 _CALL = re.compile(r"^([a-z_]+)\s*\((.*)\)$")
 
 
@@ -135,17 +142,12 @@ class Scenario:
 
 def format_curve(curve) -> str:
     """Canonical function-style spelling of a curve."""
-    if isinstance(curve, AffineHazard):
-        return f"affine({_fmt(curve.slope)}, {_fmt(curve.intercept)})"
-    if isinstance(curve, PowerHazard):
-        return f"power({_fmt(curve.exponent)})"
     if isinstance(curve, TableHazard):
         knots = ", ".join(f"{_fmt(d)}:{_fmt(v)}" for d, v in curve.knots)
         return f"table({knots})"
-    if isinstance(curve, LinearReach):
-        return f"linear({_fmt(curve.slope)})"
-    if isinstance(curve, ConstantReach):
-        return f"constant({_fmt(curve.value)})"
+    for name, (cls, fields) in (*_HAZARDS.items(), *_REACHES.items()):
+        if isinstance(curve, cls):
+            return f"{name}({', '.join(_fmt(getattr(curve, f)) for f in fields)})"
     raise ScenarioError(f"cannot serialize curve {curve!r}")
 
 
@@ -170,15 +172,13 @@ def _arity(name: str, args: list[str], want: int, what: str) -> None:
         raise ScenarioError(f"{what}: {name} takes {want} argument(s), got {len(args)}")
 
 
-def _parse_hazard(text: str) -> HazardCurve:
-    name, args = _call(text, "hazard")
-    if name == "affine":
-        _arity(name, args, 2, "hazard")
-        return AffineHazard(_number(args[0], "hazard slope"), _number(args[1], "hazard intercept"))
-    if name == "power":
-        _arity(name, args, 1, "hazard")
-        return PowerHazard(_number(args[0], "hazard exponent"))
-    if name == "table":
+def _parse_curve(
+    text: str, what: str, families: dict, expected: str
+) -> HazardCurve | SignalReachCurve:
+    """A curve from the family table; tables are the one hazard family
+    whose argument count is free."""
+    name, args = _call(text, what)
+    if name == "table" and what == "hazard":
         knots = []
         for item in args:
             d, sep, v = item.partition(":")
@@ -186,18 +186,11 @@ def _parse_hazard(text: str) -> HazardCurve:
                 raise ScenarioError(f"hazard table knot {item!r} must look like d:p")
             knots.append((_number(d, "table mass"), _number(v, "table probability")))
         return TableHazard(tuple(knots))
-    raise ScenarioError(f"unknown hazard family {name!r} (expected affine, power, or table)")
-
-
-def _parse_reach(text: str) -> SignalReachCurve:
-    name, args = _call(text, "signal_reach")
-    if name == "linear":
-        _arity(name, args, 1, "signal_reach")
-        return LinearReach(_number(args[0], "signal_reach slope"))
-    if name == "constant":
-        _arity(name, args, 1, "signal_reach")
-        return ConstantReach(_number(args[0], "signal_reach value"))
-    raise ScenarioError(f"unknown signal_reach family {name!r} (expected linear or constant)")
+    if name not in families:
+        raise ScenarioError(f"unknown {what} family {name!r} (expected {expected})")
+    cls, fields = families[name]
+    _arity(name, args, len(fields), what)
+    return cls(*[_number(arg, f"{what} {field}") for arg, field in zip(args, fields)])
 
 
 def _parse_beta(text: str) -> float | BetaSweep:
@@ -235,8 +228,10 @@ def parse_scenario(text: str) -> Scenario:
     if missing:
         raise ScenarioError(f"missing required key(s): {', '.join(missing)}")
     return Scenario(
-        hazard=_parse_hazard(entries["hazard"]),
-        signal_reach=_parse_reach(entries["signal_reach"]),
+        hazard=_parse_curve(entries["hazard"], "hazard", _HAZARDS, "affine, power, or table"),
+        signal_reach=_parse_curve(
+            entries["signal_reach"], "signal_reach", _REACHES, "linear or constant"
+        ),
         y=_number(entries["y"], "y"),
         r=_number(entries["r"], "r"),
         beta=_parse_beta(entries["beta"]),

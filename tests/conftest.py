@@ -4,12 +4,15 @@ import math
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from hazardsignal import (
     AffineHazard,
     ConstantReach,
     LinearReach,
     PowerHazard,
     SignalingGame,
+    TableHazard,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +72,19 @@ def random_game(rng: random.Random, beta: float | None = None) -> SignalingGame:
         hazard=hazard,
         signal_reach=reach,
     )
+
+
+@st.composite
+def table_curves(draw):
+    """2-6 knots, every segment at least 1/41 wide and rising at least 0.0024,
+    with the end knots sometimes 1e-13 off 0 and 1, as validation allows."""
+    segments = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(1.0, 10.0), min_size=segments, max_size=segments))
+    rises = draw(st.lists(st.floats(1.0, 10.0), min_size=segments, max_size=segments))
+    floor = draw(st.floats(0.0, 0.3))
+    span = draw(st.floats(0.1, 1.0 - floor))
+    ds = [sum(widths[:i]) / sum(widths) for i in range(segments + 1)]
+    vs = [min(floor + span * sum(rises[:i]) / sum(rises), 1.0) for i in range(segments + 1)]
+    ds[0] = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    ds[-1] = draw(st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13]))
+    return TableHazard(tuple(zip(ds, vs)))

@@ -227,6 +227,19 @@ class TestErrorPaths:
         assert main(["solve", str(bad)]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "optimize-p", "optimize-s", "oracle-check"])
+    def test_certain_signal_of_a_flat_certain_accident(self, command, tmp_path, capsys):
+        # p(d) rounds to 1 for every d, so beta*q(y) * P reaches 1 at beta = 1:
+        # an invalid game, not a solver inconsistency
+        scn = tmp_path / "flat.scn"
+        scn.write_text(
+            "hazard = affine(1e-17, 1)\nsignal_reach = constant(1)\ny = 0.5\nr = 3\nbeta = 1\n"
+        )
+        assert main([command, str(scn)]) == 2
+        assert capsys.readouterr().err == (
+            "error: beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined\n"
+        )
+
     def test_internal_inconsistency_exits_3(self, monkeypatch, capsys):
         from hazardsignal import LogicError
         import hazardsignal.cli as cli

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hazardsignal import (
     AffineHazard,
+    ConstantReach,
+    DegenerateSignalError,
     LinearReach,
     Region,
     SignalingGame,
@@ -22,6 +25,7 @@ from conftest import (
     cost_reversal_game,
     random_game,
     steep_hazard_game,
+    table_curves,
 )
 
 
@@ -97,6 +101,21 @@ class TestSolveEquilibrium:
             assert rep.Q == pytest.approx(rep.P * game.signal_rate, abs=1e-12)
             res = solve_profile_P(game, rep.x_ne)
             assert res.P == pytest.approx(rep.P, abs=1e-9)
+
+    def test_near_certain_signal_of_a_rising_near_certain_accident(self):
+        # p is not flat (p(0) < p(1)), yet at the NCVI indifference point
+        # beta*q(y) * P is within 1e-15 of 1, as posterior_no_signal forbids
+        game = SignalingGame(
+            beta=1.0,
+            y=0.5,
+            r=1.5,
+            hazard=AffineHazard(1e-16, 1.0 - 2.0**-52),
+            signal_reach=ConstantReach(1.0 - 2.0**-53),
+        )
+        assert game.hazard(0.0) < game.hazard(1.0)
+        assert classify_region(game) is Region.NCVI
+        with pytest.raises(DegenerateSignalError, match="reaches 1 in region NCVI"):
+            solve_equilibrium(game)
 
 
 class TestAccidentProbability:
@@ -177,7 +196,40 @@ def equilibrium_form_holds(game, rep, tol=1e-9):
     return x.x_n <= tol or abs(x.x_vu - game.y) <= tol
 
 
+#: the order regions take as beta rises: each condition is monotone in beta*q(y)
+REGION_ORDER = (Region.NCVC, Region.NCVI, Region.NCVR, Region.NIVR, Region.NRVR)
+
+
+@st.composite
+def table_games(draw):
+    reach = draw(st.sampled_from([LinearReach, ConstantReach]))
+    return SignalingGame(
+        beta=0.0,
+        y=draw(st.floats(0.05, 0.95)),
+        r=draw(st.floats(1.01, 25.0)),
+        hazard=draw(table_curves()),
+        signal_reach=reach(draw(st.floats(0.1, 1.0))),
+    )
+
+
+def regions_never_step_back(game) -> bool:
+    ranks = [REGION_ORDER.index(classify_region(with_beta(game, i / 200))) for i in range(201)]
+    return ranks == sorted(ranks)
+
+
 class TestStructuralInvariants:
+    # most games keep one region for every beta, so draw more than the default
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1))
+    def test_region_order_along_beta(self, seed):
+        game = random_game(random.Random(seed))
+        assert regions_never_step_back(game), game
+
+    @settings(max_examples=300)
+    @given(table_games())
+    def test_region_order_along_beta_table(self, game):
+        assert regions_never_step_back(game), game
+
     def test_region_ranges_and_forms(self):
         rng = random.Random(502)
         for _ in range(200):

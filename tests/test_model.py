@@ -22,6 +22,8 @@ from hazardsignal import (
     validate_profile,
 )
 
+from conftest import table_curves
+
 
 @st.composite
 def affine_curves(draw):
@@ -31,22 +33,6 @@ def affine_curves(draw):
 
 
 power_curves = st.floats(min_value=0.1, max_value=10.0).map(PowerHazard)
-
-
-@st.composite
-def table_curves(draw):
-    """2-6 knots, every segment at least 1/41 wide and rising at least 0.0024,
-    with the end knots sometimes 1e-13 off 0 and 1, as validation allows."""
-    segments = draw(st.integers(1, 5))
-    widths = draw(st.lists(st.floats(1.0, 10.0), min_size=segments, max_size=segments))
-    rises = draw(st.lists(st.floats(1.0, 10.0), min_size=segments, max_size=segments))
-    floor = draw(st.floats(0.0, 0.3))
-    span = draw(st.floats(0.1, 1.0 - floor))
-    ds = [sum(widths[:i]) / sum(widths) for i in range(segments + 1)]
-    vs = [min(floor + span * sum(rises[:i]) / sum(rises), 1.0) for i in range(segments + 1)]
-    ds[0] = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
-    ds[-1] = draw(st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13]))
-    return TableHazard(tuple(zip(ds, vs)))
 
 
 hazard_curves = st.one_of(affine_curves(), power_curves, table_curves())

@@ -13,6 +13,7 @@ from hazardsignal import (
     Scenario,
     ScenarioError,
     TableHazard,
+    format_curve,
     parse_scenario,
 )
 
@@ -149,3 +150,92 @@ class TestCanonicalEcho:
         assert echoed.y == pytest.approx(sc.y, rel=1e-11, abs=1e-12)
         assert echoed.r == pytest.approx(sc.r, rel=1e-11)
         assert echoed.beta == pytest.approx(sc.beta, rel=1e-11, abs=1e-12)
+
+
+def _scenario(**values):
+    """BASIC's entries as scenario text, with the given keys replaced."""
+    entries = {
+        "hazard": "affine(0.3, 0.1)",
+        "signal_reach": "linear(0.9)",
+        "y": "0.9",
+        "r": "3",
+        "beta": "1",
+        **values,
+    }
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+HAZARD_FAMILIES = "(expected affine, power, or table)"
+REACH_FAMILIES = "(expected linear or constant)"
+
+
+class TestMessagesPinned:
+    """Full text of every curve and number diagnostic, not just a fragment."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # arity of each analytic family
+            ("hazard", "affine()", "hazard: affine takes 2 argument(s), got 0"),
+            ("hazard", "affine(0.3)", "hazard: affine takes 2 argument(s), got 1"),
+            ("hazard", "affine(0.3, 0.1, 0)", "hazard: affine takes 2 argument(s), got 3"),
+            ("hazard", "power()", "hazard: power takes 1 argument(s), got 0"),
+            ("hazard", "power(1, 2)", "hazard: power takes 1 argument(s), got 2"),
+            ("signal_reach", "linear()", "signal_reach: linear takes 1 argument(s), got 0"),
+            ("signal_reach", "linear(0.5, 0.5)", "signal_reach: linear takes 1 argument(s), got 2"),
+            ("signal_reach", "constant()", "signal_reach: constant takes 1 argument(s), got 0"),
+            ("signal_reach", "constant(0.5, 0.5)", "signal_reach: constant takes 1 argument(s), got 2"),
+            # every number field
+            ("hazard", "affine(a, 0.1)", "hazard slope: expected a number, got 'a'"),
+            ("hazard", "affine(0.3, b)", "hazard intercept: expected a number, got 'b'"),
+            ("hazard", "affine(0.3,)", "hazard intercept: expected a number, got ''"),
+            ("hazard", "affine(a, b)", "hazard slope: expected a number, got 'a'"),
+            ("hazard", "power(x)", "hazard exponent: expected a number, got 'x'"),
+            ("hazard", "table(0:0.05, z:0.3, 1:0.8)", "table mass: expected a number, got 'z'"),
+            ("hazard", "table(0:0.05, 0.5:w, 1:0.8)", "table probability: expected a number, got 'w'"),
+            ("signal_reach", "linear(s)", "signal_reach slope: expected a number, got 's'"),
+            ("signal_reach", "constant(v)", "signal_reach value: expected a number, got 'v'"),
+            ("y", "most", "y: expected a number, got 'most'"),
+            ("r", "three", "r: expected a number, got 'three'"),
+            ("beta", "high", "beta: expected a number, got 'high'"),
+            ("beta", "sweep(a, 1, 11)", "beta sweep lo: expected a number, got 'a'"),
+            ("beta", "sweep(0, b, 11)", "beta sweep hi: expected a number, got 'b'"),
+            ("beta", "sweep(0, 1, c)", "beta sweep count: expected a number, got 'c'"),
+            # unknown family on each key
+            ("hazard", "cubic(1)", f"unknown hazard family 'cubic' {HAZARD_FAMILIES}"),
+            ("hazard", "linear(0.9)", f"unknown hazard family 'linear' {HAZARD_FAMILIES}"),
+            ("hazard", "constant(0.5)", f"unknown hazard family 'constant' {HAZARD_FAMILIES}"),
+            ("signal_reach", "cubic(1)", f"unknown signal_reach family 'cubic' {REACH_FAMILIES}"),
+            ("signal_reach", "table(0:0, 1:1)", f"unknown signal_reach family 'table' {REACH_FAMILIES}"),
+            ("signal_reach", "affine(0.3, 0.1)", f"unknown signal_reach family 'affine' {REACH_FAMILIES}"),
+            ("signal_reach", "power(2)", f"unknown signal_reach family 'power' {REACH_FAMILIES}"),
+            # malformed calls and knots
+            ("hazard", "0.3", "hazard: expected name(args), got '0.3'"),
+            ("signal_reach", "linear 0.9", "signal_reach: expected name(args), got 'linear 0.9'"),
+            ("hazard", "table(0:0.05, 0.5, 1:0.8)", "hazard table knot '0.5' must look like d:p"),
+        ],
+    )
+    def test_full_message(self, key, value, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(_scenario(**{key: value}))
+        assert str(exc.value) == message
+
+
+class TestFormatCurve:
+    @pytest.mark.parametrize(
+        "curve, text",
+        [
+            (AffineHazard(0.3, 0.1), "affine(0.3, 0.1)"),
+            (AffineHazard(1.0 / 3.0, 0.0), "affine(0.333333333333, 0)"),
+            (PowerHazard(0.25), "power(0.25)"),
+            (TableHazard(((0.0, 0.05), (0.5, 0.3), (1.0, 0.8))), "table(0:0.05, 0.5:0.3, 1:0.8)"),
+            (LinearReach(0.9), "linear(0.9)"),
+            (ConstantReach(0.5), "constant(0.5)"),
+        ],
+    )
+    def test_canonical_spelling(self, curve, text):
+        assert format_curve(curve) == text
+
+    def test_unknown_curve(self):
+        with pytest.raises(ScenarioError, match=r"^cannot serialize curve 0\.5$"):
+            format_curve(0.5)
