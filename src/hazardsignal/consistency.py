@@ -82,7 +82,7 @@ def solve_profile_P(game: SignalingGame, profile: BehaviorProfile) -> Consistenc
 
     def gap(P: float) -> float:
         arg = x_n + (1.0 - P * rate) * x_vu
-        return P - hazard(min(max(arg, 0.0), 1.0))
+        return P - hazard._eval(min(max(arg, 0.0), 1.0))
 
     P, g = _bisect(gap, hazard.floor, hazard.ceiling)
     return ConsistencyResult(

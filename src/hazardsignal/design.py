@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 
 from .model import MAX_GRID_POINTS, InputError, SignalingGame
 from .equilibrium import EquilibriumReport, Region, solve_equilibrium
@@ -102,6 +103,10 @@ def sweep_beta(
 
 def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced signal qualities from lo to hi inclusive."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InputError(f"the count of signal qualities must be an integer, got {n!r}") from None
     if n > MAX_GRID_POINTS:
         raise InputError(
             f"a grid of {n!r} signal qualities is over the limit of {MAX_GRID_POINTS} grid points"

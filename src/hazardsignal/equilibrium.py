@@ -75,12 +75,13 @@ def classify_region(game: SignalingGame) -> Region:
     order NCVC, NCVI, NIVR, NRVR; NCVR is the complement of the other
     four, so it is returned when none fires.
     """
-    p = game.hazard
+    # rate, both thresholds and y lie in [0, 1], so every curve argument below does too
+    p = game.hazard._eval
     rate = game.signal_rate
     y = game.y
     t_prior = 1.0 / (1.0 + game.r)
     t_unsignaled = 1.0 / (1.0 + game.r * (1.0 - rate))
-    if p.floor > t_unsignaled:
+    if game.hazard.floor > t_unsignaled:
         return Region.NCVC
     if t_unsignaled <= p((1.0 - rate * t_unsignaled) * y):
         return Region.NCVI

@@ -14,6 +14,14 @@ evaluated in pure Python, without numpy's per-call overhead, because the
 scalar solvers call curves tens of times per solve; a table curve's scalar
 path reproduces np.interp bit for bit, and arrays go through numpy. numpy
 is imported only by those array branches, so scalar work never loads it.
+
+Arguments are checked once, at the boundary: a curve's __call__ runs
+_unit, which refuses anything that is not a number (or an array of them)
+in [0, 1] and clamps float overshoot, then hands the result to the
+family's _eval. _eval checks nothing. The package's inner loops (the
+fixed-point bisection, the table inverse, region classification and the
+oracle's sign tests) keep their own arguments in [0, 1] and call _eval
+directly, so no loop step pays for the check.
 """
 
 from __future__ import annotations
@@ -81,7 +89,12 @@ class ParameterError(ModelError):
 
 
 def _unit(x, what: str):
-    """Validate x in [0, 1] (scalar or array), clamping float overshoot."""
+    """Validate x in [0, 1] (scalar or array), clamping float overshoot.
+
+    The one argument check in front of a curve: a number, or an array of
+    booleans, integers or floats. Text, None and object arrays are refused,
+    not converted.
+    """
     if type(x) is float and 0.0 <= x <= 1.0:
         return x
     if isinstance(x, (int, float)):
@@ -89,9 +102,14 @@ def _unit(x, what: str):
         if math.isnan(v) or v < -UNIT_SLACK or v > 1.0 + UNIT_SLACK:
             raise InputError(f"{what} must lie in [0, 1], got {x!r}")
         return min(max(v, 0.0), 1.0)
+    if x is None or isinstance(x, (str, bytes)):
+        raise InputError(f"{what} must be a number, got {x!r}")
     import numpy as np
 
-    arr = np.asarray(x, dtype=float)
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"{what} must be a number or an array of numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     # min and max propagate NaN, which then fails the comparison
     if arr.size and not (arr.min() >= -UNIT_SLACK and arr.max() <= 1.0 + UNIT_SLACK):
         raise InputError(f"{what} must lie in [0, 1]")
@@ -155,7 +173,10 @@ class AffineHazard:
         return min(self.slope + self.intercept, 1.0)
 
     def __call__(self, d):
-        return self.slope * _unit(d, "reckless mass") + self.intercept
+        return self._eval(_unit(d, "reckless mass"))
+
+    def _eval(self, d):
+        return self.slope * d + self.intercept
 
     def inverse(self, v: float) -> float:
         v = _target(v, self.floor, self.ceiling)
@@ -183,7 +204,10 @@ class PowerHazard:
         return 1.0
 
     def __call__(self, d):
-        return _unit(d, "reckless mass") ** self.exponent
+        return self._eval(_unit(d, "reckless mass"))
+
+    def _eval(self, d):
+        return d ** self.exponent
 
     def inverse(self, v: float) -> float:
         v = _target(v, 0.0, 1.0)
@@ -241,7 +265,9 @@ class TableHazard:
         return self.knots[-1][1]
 
     def __call__(self, d):
-        d = _unit(d, "reckless mass")
+        return self._eval(_unit(d, "reckless mass"))
+
+    def _eval(self, d):
         if type(d) is not float:
             import numpy as np
 
@@ -259,7 +285,7 @@ class TableHazard:
 
     def inverse(self, v: float) -> float:
         v = _target(v, self.floor, self.ceiling)
-        return _bisect(lambda d: self(d) - v, 0.0, 1.0)[0]
+        return _bisect(lambda d: self._eval(d) - v, 0.0, 1.0)[0]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ numpy; importing this module does not.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -200,6 +201,10 @@ def best_response_dynamics(
     """
     if not 0.0 < rate <= 1.0:
         raise InputError(f"rate must lie in (0, 1], got {rate!r}")
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise InputError(f"steps must be an integer, got {steps!r}") from None
     if steps < 0:
         raise InputError(f"steps must be nonnegative, got {steps!r}")
     validate_profile(game, start)
@@ -318,7 +323,7 @@ def _consistency_map(game: SignalingGame, P, x_n, x_vu) -> np.ndarray:
     import numpy as np
 
     arg = x_n + (1.0 - P * game.signal_rate) * x_vu
-    return P - game.hazard(np.clip(arg, 0.0, 1.0))
+    return P - game.hazard._eval(np.clip(arg, 0.0, 1.0))
 
 
 def _member_mask(
@@ -371,10 +376,17 @@ def _gap_crossings(
 
     The sign test avoids nesting a full fixed-point solve per bisection
     step: with threshold t for the group's belief, P* < t exactly when
-    F(t) > 0 (see _consistency_map), one curve evaluation. (For the
-    unsignaled group the posterior is increasing in P, which moves its
-    1/(1+r) threshold to t = 1/(1 + r(1 - rate)) in P-space.) Crossings
-    are only candidates; membership is still decided by _member_mask.
+    F(t) > 0 (see _consistency_map), that is when p(x_n + (1 - t*rate)*x_vu)
+    < t, one curve evaluation. (For the unsignaled group the posterior is
+    increasing in P, which moves its 1/(1+r) threshold to
+    t = 1/(1 + r(1 - rate)) in P-space.) On each line that mass is affine
+    in the moving mass m, coef*m + const: coef = 1 and const = (1 - t*rate)*x_vu
+    while x_n moves, coef = 1 - t*rate and const = x_n while x_vu moves. Both
+    are computed once per line, so a halving only clamps coef*m + const to
+    [0, 1] and tests p >= t through the unchecked _eval. That decides each
+    step exactly as the sign of F(t) would: 1*m is exact, addition commutes,
+    and for finite floats t - p > 0 holds exactly when p < t. Crossings are
+    only candidates; membership is still decided by _member_mask.
     """
     import numpy as np
 
@@ -385,14 +397,20 @@ def _gap_crossings(
     t = np.where(moves_n, t_n, t_vu)
     bound = np.where(moves_n, 1.0 - game.y, game.y)
     fixed = np.concatenate([xvu_axis, xn_axis])
+    scale = 1.0 - t * rate
+    coef = np.where(moves_n, 1.0, scale)
+    const = np.where(moves_n, scale * fixed, fixed)
+    p = game.hazard._eval
 
-    def gap_positive(m, moves_n, t, fixed) -> np.ndarray:
-        x_n, x_vu = np.where(moves_n, m, fixed), np.where(moves_n, fixed, m)
-        return _consistency_map(game, t, x_n, x_vu) > 0.0
+    def reached(m, coef, const, t) -> np.ndarray:
+        """True in the lines whose gap is <= 0 at moving mass m."""
+        return p(np.minimum(np.maximum(coef * m + const, 0.0), 1.0)) >= t
 
-    sign_change = gap_positive(0.0, moves_n, t, fixed) & ~gap_positive(bound, moves_n, t, fixed)
+    sign_change = ~reached(0.0, coef, const, t) & reached(bound, coef, const, t)
     if not np.any(sign_change):
         return np.array([]), np.array([])
-    moves_n, t, bound, fixed = (a[sign_change] for a in (moves_n, t, bound, fixed))
-    m = _bisect_rows(lambda m: ~gap_positive(m, moves_n, t, fixed), np.zeros_like(bound), bound)
+    moves_n, t, bound, fixed, coef, const = (
+        a[sign_change] for a in (moves_n, t, bound, fixed, coef, const)
+    )
+    m = _bisect_rows(lambda m: reached(m, coef, const, t), np.zeros_like(bound), bound)
     return np.where(moves_n, m, fixed), np.where(moves_n, fixed, m)

@@ -127,6 +127,23 @@ class TestSweepBeta:
         with pytest.raises(InputError):
             sweep_beta(steep_hazard_game(0.5), 1)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0])
+    def test_count_must_be_an_integer(self, count):
+        from hazardsignal import InputError
+
+        game = steep_hazard_game(0.5)
+        with pytest.raises(InputError, match="must be an integer"):
+            sweep_beta(game, count)
+        with pytest.raises(InputError, match="must be an integer"):
+            optimal_beta_social(game, count)
+
+    def test_numpy_integer_count(self):
+        import numpy as np
+
+        game = cost_reversal_game(0.0)
+        assert sweep_beta(game, np.int64(11)) == sweep_beta(game, 11)
+        assert optimal_beta_social(game, np.int32(21)) == optimal_beta_social(game, 21)
+
     def test_records_match_reports(self):
         records = sweep_beta(cost_reversal_game(0.0), 11)
         from hazardsignal import solve_equilibrium

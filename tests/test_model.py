@@ -108,6 +108,20 @@ class TestHazardEval:
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
         assert [v.hex() for v in scalars] == [v.hex() for v in got.tolist()]
 
+    @given(hazard_curves, st.lists(st.floats(0.0, 1.0), max_size=20))
+    @example(PowerHazard(0.5), [])
+    def test_unchecked_eval_matches_call_bits(self, curve, points):
+        # _eval skips the argument check for callers that keep to [0, 1] themselves,
+        # so there it must give __call__'s value, scalar and array, bit for bit
+        ds = [d for d, _ in getattr(curve, "knots", ())]
+        points = points + ds + [math.nextafter(d, math.inf) for d in ds] + [0.0, 1.0]
+        points = [x for x in points if 0.0 <= x <= 1.0]
+        for x in points:
+            got = curve._eval(x)
+            assert type(got) is float and got.hex() == curve(x).hex(), (curve, x)
+        got, want = curve._eval(np.array(points)), curve(np.array(points))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
     @given(hazard_curves, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_strictly_increasing(self, curve, a, b):
         lo, hi = min(a, b), max(a, b)
@@ -200,6 +214,17 @@ class TestCurveArguments:
             curve(np.array([0.0, 0.5, x, 1.0]))
         with pytest.raises(InputError):
             curve(np.array(x))
+
+    @every_family
+    @pytest.mark.parametrize(
+        "x",
+        ["0.5", b"1", None, ["0.1", "0.2"], np.array([0.5], dtype=object), np.array("0.5")],
+        ids=["str", "bytes", "None", "str-list", "object-array", "str-array"],
+    )
+    def test_text_and_objects_rejected(self, curve, x):
+        # refused, not converted: np.asarray would read "0.5" as 0.5
+        with pytest.raises(InputError, match="must be a number"):
+            curve(x)
 
     @every_family
     def test_array_overshoot_clamped(self, curve):

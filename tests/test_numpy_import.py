@@ -55,6 +55,19 @@ def test_scalar_subcommands_leave_numpy_unloaded(command):
     assert not numpy_loaded(run_cli(*invocations))
 
 
+def test_rejected_text_leaves_numpy_unloaded():
+    # the scalar path refuses text itself rather than handing it to np.asarray
+    assert not numpy_loaded(
+        "import hazardsignal as hs\n"
+        "try:\n"
+        "    hs.AffineHazard(0.5, 0.2)('0.5')\n"
+        "except hs.InputError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('a str argument was accepted')"
+    )
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -4,8 +4,10 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
+from hazardsignal import oracle
 from hazardsignal import (
     AffineHazard,
     BehaviorProfile,
@@ -231,6 +233,44 @@ class TestEpsilonEquilibria:
         assert len(games) == 22
         assert digest.hexdigest() == "2919b5ec79934fa15988a0ae688c699b598330361ab828acff67bd96db60a440"
 
+    def test_crossings_pinned(self):
+        # every crossing candidate's float.hex over a fixed game set, recorded from the
+        # row bisection as it stands; a faster kernel must not move a single bit.
+        # Power hazards are left out, as in test_members_pinned.
+        rng = random.Random(13)
+        games = [g for g in (random_game(rng) for _ in range(60))
+                 if isinstance(g.hazard, AffineHazard)]
+        tables = [
+            TableHazard(((0.0, 0.1), (0.4, 0.15), (1.0, 0.6))),
+            TableHazard(((0.0, 0.02), (0.25, 0.3), (0.5, 0.35), (0.8, 0.5), (1.0, 0.9))),
+            TableHazard(((0.0, 0.0), (0.6, 0.05), (1.0, 1.0))),
+        ]
+        for hazard in tables:
+            for _ in range(4):
+                games.append(SignalingGame(
+                    rng.random(), rng.uniform(0.05, 0.95), rng.uniform(1.01, 10.0), hazard,
+                    LinearReach(rng.uniform(0.1, 1.0)),
+                ))
+        # beta*q = 1, and y at 0 or 1, for both an affine and a table hazard
+        for hazard in (AffineHazard(0.5, 0.5), AffineHazard(0.6, 0.2), tables[1]):
+            for y in (0.0, 0.3, 0.5, 1.0):
+                games.append(SignalingGame(1.0, y, 3.0, hazard, ConstantReach(1.0)))
+            for y in (0.0, 1.0):
+                games.append(SignalingGame(0.5, y, 1.5, hazard, LinearReach(0.8)))
+        digest = hashlib.sha256()
+        candidates = 0
+        for step in (0.01, 0.05):
+            for game in games:
+                digest.update(b"game\n")
+                xs, vus = oracle._gap_crossings(
+                    game, oracle._axis(1.0 - game.y, step), oracle._axis(game.y, step)
+                )
+                candidates += len(xs)
+                for a, b in zip(xs.tolist(), vus.tolist()):
+                    digest.update(f"{a.hex()} {b.hex()}\n".encode())
+        assert (len(games), candidates) == (62, 1081)
+        assert digest.hexdigest() == "161bb05e721afd5314dc05856bf345ee1709fa82e297d257b0a1427214e84451"
+
 
 class TestBestResponseDynamics:
     def test_converges_to_corner_equilibrium(self):
@@ -263,6 +303,14 @@ class TestBestResponseDynamics:
         )
         assert not path.converged
         assert len(path.trajectory) == 4
+
+    def test_steps_must_be_an_integer(self):
+        game = adoption_backfire_game(1.0)
+        start = BehaviorProfile(0.05, 0.45, 0.0)
+        with pytest.raises(InputError, match="steps must be an integer"):
+            best_response_dynamics(game, start, steps=1.5, rate=0.2)
+        path = best_response_dynamics(game, start, steps=np.int64(3), rate=0.2)
+        assert path == best_response_dynamics(game, start, steps=3, rate=0.2)
 
     def test_rate_validation(self):
         game = adoption_backfire_game(1.0)
