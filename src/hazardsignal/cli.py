@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .consistency import solve_profile_P
 from .design import SweepRecord, optimal_beta_accidents, optimal_beta_social, sweep_beta
 from .equilibrium import LogicError, solve_equilibrium
 from .model import ModelError
-from .oracle import epsilon_equilibria
+# hsbench/workloads.py imports the two tolerances from here
+from .oracle import MASS_TOL_STEPS, P_TOL_STEPS, oracle_verdict
 from .scenario import Scenario, ScenarioError, _fmt, load_scenario
 
 EXIT_OK = 0
@@ -32,10 +32,6 @@ EXIT_DISAGREE = 4
 SOLVE_HEADER = "beta,region,P,S,x_n,x_vu,Q,posterior"
 DESIGN_HEADER = "objective,beta_star,value_at_star,value_at_beta0,value_at_beta1"
 ORACLE_HEADER = "beta,members,x_n,x_vu,P,max_mass_dev,max_P_dev,verdict"
-
-#: oracle-check agreement tolerances, scaled from the scan resolution
-MASS_TOL_STEPS = 3.0
-P_TOL_STEPS = 2.0
 
 
 def _metadata(scenario: Scenario) -> list[str]:
@@ -100,29 +96,16 @@ def _cmd_optimize_s(scenario: Scenario, args) -> int:
 
 
 def _cmd_oracle_check(scenario: Scenario, args) -> int:
-    mass_tol = MASS_TOL_STEPS * args.grid_step
-    p_tol = P_TOL_STEPS * args.grid_step
     rows = []
     status = EXIT_OK
     for beta in scenario.betas():
         game = scenario.game_at(beta)
         rep = solve_equilibrium(game)
-        found = epsilon_equilibria(game, args.grid_step, args.eps)
-        star_mass = rep.x_ne.x_n + (1.0 - rep.Q) * rep.x_ne.x_vu
-        if not found.members:
-            mass_dev, p_dev, verdict = float("nan"), float("nan"), "empty"
-        else:
-            mass_dev = p_dev = 0.0
-            for member in found.members:
-                res = solve_profile_P(game, member)
-                mass = member.x_n + (1.0 - res.Q) * member.x_vu
-                mass_dev = max(mass_dev, abs(mass - star_mass))
-                p_dev = max(p_dev, abs(res.P - rep.P))
-            verdict = "agree" if mass_dev <= mass_tol and p_dev <= p_tol else "disagree"
-        if verdict != "agree":
+        v = oracle_verdict(game, rep, args.grid_step, args.eps)
+        if v.verdict != "agree":
             status = EXIT_DISAGREE
-        members = len(found.members)
-        rows.append(_csv(beta, members, rep.x_ne.x_n, rep.x_ne.x_vu, rep.P, mass_dev, p_dev, verdict))
+        x = rep.x_ne
+        rows.append(_csv(beta, len(v.members), x.x_n, x.x_vu, rep.P, v.mass_dev, v.P_dev, v.verdict))
     _emit(_metadata(scenario) + [ORACLE_HEADER] + rows, args.out)
     return status
 

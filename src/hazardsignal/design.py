@@ -15,7 +15,7 @@ import enum
 import math
 import operator
 
-from .model import MAX_GRID_POINTS, InputError, SignalingGame
+from .model import MAX_GRID_POINTS, InputError, ParameterError, SignalingGame
 from .equilibrium import EquilibriumReport, Region, solve_equilibrium
 
 __all__ = [
@@ -80,7 +80,13 @@ class DesignResult:
 
 
 def with_beta(game: SignalingGame, beta: float) -> SignalingGame:
-    """Same game, different signal quality (revalidated)."""
+    """Same game, different signal quality (revalidated).
+
+    Numbers convert through float(); text and None are refused, as the
+    SignalingGame constructor refuses them.
+    """
+    if beta is None or isinstance(beta, (str, bytes)):
+        raise ParameterError(f"game parameter beta must be a finite number, got {beta!r}")
     return dataclasses.replace(game, beta=float(beta))
 
 
@@ -91,7 +97,7 @@ def sweep_beta(
 
     The game's own beta is ignored; each sample is solved independently.
     """
-    if grid_n < 2:
+    if _count(grid_n) < 2:
         raise InputError(f"sweep needs at least two grid points, got {grid_n!r}")
     if not 0.0 <= lo <= hi <= 1.0:
         raise InputError(f"sweep range [{lo!r}, {hi!r}] must be ordered within [0, 1]")
@@ -101,12 +107,17 @@ def sweep_beta(
     ]
 
 
-def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n evenly spaced signal qualities from lo to hi inclusive."""
+def _count(n) -> int:
+    """n as an int; InputError, not TypeError, for anything but an integer."""
     try:
-        n = operator.index(n)
+        return operator.index(n)
     except TypeError:
         raise InputError(f"the count of signal qualities must be an integer, got {n!r}") from None
+
+
+def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced signal qualities from lo to hi inclusive."""
+    n = _count(n)
     if n > MAX_GRID_POINTS:
         raise InputError(
             f"a grid of {n!r} signal qualities is over the limit of {MAX_GRID_POINTS} grid points"

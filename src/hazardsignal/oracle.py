@@ -4,8 +4,8 @@ Nothing in this module consults the region classification or the
 closed-form solutions: membership is decided purely by the six
 equilibrium implications (any action in use must be weakly cost-minimal,
 with slack eps) at a profile's own consistent accident probability. That
-keeps the brute-force search and best-response dynamics usable as
-cross-checks of the analytic solver.
+keeps the brute-force search usable as a cross-check of the analytic
+solver, and oracle_verdict holds a claimed equilibrium against it.
 
 A single profile's check solves for that probability. The scan does not:
 each implication is a bound on it, and the consistency map is strictly
@@ -19,40 +19,38 @@ numpy; importing this module does not.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import (
-    MAX_GRID_POINTS,
-    BehaviorProfile,
-    InputError,
-    SignalingGame,
-    validate_profile,
-)
+from .model import MAX_GRID_POINTS, BehaviorProfile, InputError, SignalingGame
 from .consistency import solve_profile_P
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .equilibrium import EquilibriumReport
+
 __all__ = [
     "ConditionStatus",
     "ConditionCheck",
     "EpsilonEquilibriumSet",
-    "BestResponsePath",
+    "OracleVerdict",
     "check_equilibrium_conditions",
     "epsilon_equilibria",
-    "best_response_dynamics",
+    "oracle_verdict",
 ]
 
-#: cost-gap band treated as exact indifference by the best-response map
-TIE_EPS = 1e-9
+#: oracle agreement tolerances on reckless accident mass and on P, in scan grid steps
+MASS_TOL_STEPS = 3.0
+P_TOL_STEPS = 2.0
 
-#: a profile within this L-inf distance of its best response counts as settled
-CONVERGENCE_TOL = 1e-9
 
-#: cost slack of the equilibrium check at the end of a best-response path
-CHECK_EPS = 1e-6
+def _finite(x) -> bool:
+    """True for a finite real number; False, not a TypeError, for text, None and the like."""
+    try:
+        return math.isfinite(x)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,30 @@ class ConditionCheck:
 def check_equilibrium_conditions(
     game: SignalingGame, profile: BehaviorProfile, eps: float
 ) -> ConditionCheck:
-    """Test the six equilibrium implications at the profile's own fixed point."""
-    if not (math.isfinite(eps) and eps >= 0):
+    """Test the six equilibrium implications at the profile's own fixed point.
+
+    A group's cost gap is 1 - (1+r) * belief, the regret of caution minus
+    the expected cost of recklessness; an action is active while some of
+    the group takes it, and its margin is its cost advantage over the other
+    action. The scan applies the same implications as bounds on P
+    (_member_mask).
+    """
+    if not (_finite(eps) and eps >= 0):
         raise InputError(f"eps must be finite and nonnegative, got {eps!r}")
     res = solve_profile_P(game, profile)
+    y, x_n, x_vu, x_vs = game.y, profile.x_n, profile.x_vu, profile.x_vs
+    gap_n = 1.0 - (1.0 + game.r) * res.P
+    gap_vu = 1.0 - (1.0 + game.r) * res.posterior_no_signal
+    gap_vs = -game.r  # signaled drivers know the accident is real: belief 1
     conditions = tuple(
         ConditionStatus(name, active, (not active) or margin >= -eps, margin)
-        for name, active, margin in _conditions(
-            game, res.P, res.posterior_no_signal, profile.x_n, profile.x_vu, profile.x_vs
+        for name, active, margin in (
+            ("n_careful_in_use", x_n < 1.0 - y, -gap_n),
+            ("n_reckless_in_use", x_n > 0.0, gap_n),
+            ("vu_careful_in_use", x_vu < y, -gap_vu),
+            ("vu_reckless_in_use", x_vu > 0.0, gap_vu),
+            ("vs_careful_in_use", x_vs < y, -gap_vs),
+            ("vs_reckless_in_use", x_vs > 0.0, gap_vs),
         )
     )
     return ConditionCheck(
@@ -144,9 +158,9 @@ def epsilon_equilibria(
     import numpy as np
 
     # an infinite step would put inf * 0 = nan on the lattice; an infinite eps admits everything
-    if not (math.isfinite(eps) and eps > 0):
+    if not (_finite(eps) and eps > 0):
         raise InputError(f"eps must be finite and positive, got {eps!r}")
-    if not (math.isfinite(grid_step) and grid_step > 0):
+    if not (_finite(grid_step) and grid_step > 0):
         raise InputError(f"grid_step must be finite and positive, got {grid_step!r}")
     y = game.y
     if 0.0 < y < 1.0 and grid_step > min(y, 1.0 - y) + 1e-12:
@@ -178,109 +192,42 @@ def epsilon_equilibria(
 
 
 @dataclass(frozen=True)
-class BestResponsePath:
-    """Damped best-response trajectory and its terminal diagnosis."""
+class OracleVerdict:
+    """The eps-equilibria of a game held against a claimed equilibrium.
 
-    trajectory: tuple[BehaviorProfile, ...]
-    converged: bool
-    final_check: ConditionCheck
-
-
-def best_response_dynamics(
-    game: SignalingGame, start: BehaviorProfile, steps: int, rate: float
-) -> BestResponsePath:
-    """Iterate x <- x + rate * (BR(x) - x), recording every iterate.
-
-    BR sends each group fully toward its strictly cheaper action and holds
-    it in place inside the TIE_EPS indifference band. Once an iterate sits
-    within CONVERGENCE_TOL of its own best response, the exact limit point
-    is recorded as the final iterate (damping alone only approaches
-    corners asymptotically). This is a verification aid only; the model
-    itself prescribes no adjustment process. Non-convergence within the
-    step budget is reported via the converged flag, not an error.
+    mass_dev and P_dev are the largest distances of any member's reckless
+    accident mass x_n + (1-Q)*x_vu and consistent P from the claim's, nan
+    when there is no member. verdict is "agree" when they are within
+    MASS_TOL_STEPS and P_TOL_STEPS grid steps, "disagree" when not, and
+    "empty" when the scan found no member.
     """
-    if not 0.0 < rate <= 1.0:
-        raise InputError(f"rate must lie in (0, 1], got {rate!r}")
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise InputError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 0:
-        raise InputError(f"steps must be nonnegative, got {steps!r}")
-    validate_profile(game, start)
-    x = start
-    trajectory = [start]
-    converged = False
-    for _ in range(steps):
-        target = _best_response(game, x)
-        move = _dist(target, x)
-        if move <= CONVERGENCE_TOL:
-            converged = True
-            if move > 0.0:
-                x = target
-                trajectory.append(x)
-            break
-        x = BehaviorProfile(
-            x.x_n + rate * (target.x_n - x.x_n),
-            x.x_vu + rate * (target.x_vu - x.x_vu),
-            x.x_vs + rate * (target.x_vs - x.x_vs),
-        )
-        trajectory.append(x)
-    else:
-        converged = _dist(_best_response(game, x), x) <= CONVERGENCE_TOL
-    return BestResponsePath(
-        trajectory=tuple(trajectory),
-        converged=converged,
-        final_check=check_equilibrium_conditions(game, trajectory[-1], CHECK_EPS),
-    )
+
+    members: tuple[BehaviorProfile, ...]
+    mass_dev: float
+    P_dev: float
+    verdict: str
 
 
-def _dist(a: BehaviorProfile, b: BehaviorProfile) -> float:
-    return max(abs(a.x_n - b.x_n), abs(a.x_vu - b.x_vu), abs(a.x_vs - b.x_vs))
+def oracle_verdict(
+    game: SignalingGame, claim: EquilibriumReport, grid_step: float, eps: float
+) -> OracleVerdict:
+    """Scan the game for eps-equilibria and measure how far they sit from the claim.
 
-
-def _best_response(game: SignalingGame, profile: BehaviorProfile) -> BehaviorProfile:
-    res = solve_profile_P(game, profile)
-    (_, _, n_careful), _, (_, _, vu_careful), *_ = _conditions(
-        game, res.P, res.posterior_no_signal, profile.x_n, profile.x_vu, profile.x_vs
-    )
-    return BehaviorProfile(
-        _respond(n_careful, profile.x_n, 1.0 - game.y),
-        _respond(vu_careful, profile.x_vu, game.y),
-        0.0,  # caution strictly dominates when signaled
-    )
-
-
-def _respond(careful_margin: float, mass: float, size: float) -> float:
-    """The whole group to its strictly cheaper action; in place inside the tie band."""
-    if careful_margin > TIE_EPS:
-        return 0.0
-    if careful_margin < -TIE_EPS:
-        return size
-    return mass
-
-
-def _conditions(game: SignalingGame, P, posterior, x_n, x_vu, x_vs):
-    """The six equilibrium implications as (name, active, margin) triples.
-
-    A group's cost gap is 1 - (1+r) * belief, the regret of caution minus
-    the expected cost of recklessness; an action is active while some of
-    the group takes it, and its margin is its cost advantage over the other
-    action. The scan applies the same implications as bounds on P
-    (_member_mask).
+    Each member's P and Q come from its own fixed-point solve, not from the
+    claim, so the claim is only ever compared against.
     """
-    y = game.y
-    gap_n = 1.0 - (1.0 + game.r) * P
-    gap_vu = 1.0 - (1.0 + game.r) * posterior
-    gap_vs = -game.r  # signaled drivers know the accident is real: belief 1
-    return (
-        ("n_careful_in_use", x_n < 1.0 - y, -gap_n),
-        ("n_reckless_in_use", x_n > 0.0, gap_n),
-        ("vu_careful_in_use", x_vu < y, -gap_vu),
-        ("vu_reckless_in_use", x_vu > 0.0, gap_vu),
-        ("vs_careful_in_use", x_vs < y, -gap_vs),
-        ("vs_reckless_in_use", x_vs > 0.0, gap_vs),
-    )
+    members = epsilon_equilibria(game, grid_step, eps).members
+    if not members:
+        return OracleVerdict(members, math.nan, math.nan, "empty")
+    star_mass = claim.x_ne.x_n + (1.0 - claim.Q) * claim.x_ne.x_vu
+    mass_dev = P_dev = 0.0
+    for member in members:
+        res = solve_profile_P(game, member)
+        mass = member.x_n + (1.0 - res.Q) * member.x_vu
+        mass_dev = max(mass_dev, abs(mass - star_mass))
+        P_dev = max(P_dev, abs(res.P - claim.P))
+    agree = mass_dev <= MASS_TOL_STEPS * grid_step and P_dev <= P_TOL_STEPS * grid_step
+    return OracleVerdict(members, mass_dev, P_dev, "agree" if agree else "disagree")
 
 
 def _axis(bound: float, step: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hazardsignal import (
     ConstantReach,
     DesignObjective,
+    ParameterError,
     Region,
     SignalingGame,
     AffineHazard,
@@ -127,7 +128,11 @@ class TestSweepBeta:
         with pytest.raises(InputError):
             sweep_beta(steep_hazard_game(0.5), 1)
 
-    @pytest.mark.parametrize("count", [2.5, 3.0])
+    @pytest.mark.parametrize(
+        "count",
+        [2.5, 3.0, pytest.param(None, id="none"), pytest.param("5", id="str"),
+         pytest.param(b"5", id="bytes")],
+    )
     def test_count_must_be_an_integer(self, count):
         from hazardsignal import InputError
 
@@ -152,6 +157,24 @@ class TestSweepBeta:
             rep = solve_equilibrium(with_beta(cost_reversal_game(0.0), rec.beta))
             assert rec.P == rep.P and rec.S == rep.social_cost
             assert rec.region is rep.region
+
+
+class TestWithBeta:
+    @pytest.mark.parametrize("beta", ["0.5", b"0.5", None], ids=["str", "bytes", "none"])
+    def test_refuses_what_the_constructor_refuses(self, beta):
+        game = steep_hazard_game(0.5)
+        with pytest.raises(ParameterError, match="beta must be a finite number"):
+            SignalingGame(beta, game.y, game.r, game.hazard, game.signal_reach)
+        with pytest.raises(ParameterError, match="beta must be a finite number"):
+            with_beta(game, beta)
+
+    def test_numbers_convert_to_float(self):
+        import numpy as np
+
+        game = steep_hazard_game(0.5)
+        for beta in (1, np.float32(0.25), np.float64(0.75), np.int64(0)):
+            changed = with_beta(game, beta).beta
+            assert type(changed) is float and changed == float(beta)
 
 
 class TestSweepInvariants:

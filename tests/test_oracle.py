@@ -1,5 +1,6 @@
-"""Brute-force eps-equilibrium scan and best-response dynamics."""
+"""Equilibrium-condition check, brute-force eps-equilibrium scan and oracle verdict."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -14,16 +15,19 @@ from hazardsignal import (
     ConstantReach,
     InputError,
     LinearReach,
+    PowerHazard,
     SignalingGame,
     TableHazard,
-    best_response_dynamics,
     check_equilibrium_conditions,
     epsilon_equilibria,
+    load_scenario,
+    oracle_verdict,
     solve_equilibrium,
     solve_profile_P,
 )
 
 from conftest import (
+    SCENARIO_DIR,
     adoption_backfire_game,
     random_game,
     steep_hazard_game,
@@ -74,7 +78,10 @@ class TestConditionCheck:
         )
         assert check.ok
 
-    @pytest.mark.parametrize("eps", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "eps", [math.inf, math.nan, "1e-3", b"1e-3", None],
+        ids=["inf", "nan", "str", "bytes", "none"],
+    )
     def test_non_finite_eps_rejected(self, eps):
         # signaled drivers reckless: fails at any finite eps, so an infinite one must not pass it
         game = SignalingGame(0.5, 0.5, 3.0, AffineHazard(0.5, 0.4), LinearReach(1.0))
@@ -82,6 +89,15 @@ class TestConditionCheck:
         assert not check_equilibrium_conditions(game, profile, 1e-3).ok
         with pytest.raises(InputError, match="eps must be finite and nonnegative"):
             check_equilibrium_conditions(game, profile, eps)
+
+    @pytest.mark.parametrize(
+        "eps", [0, 1, 1e-3, np.float32(1e-3), np.float64(1e-3), np.int64(0)],
+        ids=["int-0", "int-1", "float", "float32", "float64", "int64"],
+    )
+    def test_numeric_eps_accepted(self, eps):
+        game = SignalingGame(0.5, 0.5, 3.0, AffineHazard(0.5, 0.4), LinearReach(1.0))
+        check = check_equilibrium_conditions(game, BehaviorProfile(0.0, 0.0, 0.0), eps)
+        assert check.ok and check.epsilon == eps
 
     def test_binding_reports_indifference(self):
         game = adoption_backfire_game(0.0)  # NCVI at beta = 0: vu group indifferent
@@ -182,8 +198,10 @@ class TestEpsilonEquilibria:
 
     @pytest.mark.parametrize(
         "grid_step, eps",
-        [(math.inf, 1e-3), (0.5, math.inf), (math.nan, 1e-3), (0.5, math.nan)],
-        ids=["step-inf", "eps-inf", "step-nan", "eps-nan"],
+        [(math.inf, 1e-3), (0.5, math.inf), (math.nan, 1e-3), (0.5, math.nan),
+         (None, 1e-3), (0.5, None), ("0.5", 1e-3), (0.5, "1e-3"), (b"0.5", 1e-3)],
+        ids=["step-inf", "eps-inf", "step-nan", "eps-nan",
+             "step-none", "eps-none", "step-str", "eps-str", "step-bytes"],
     )
     def test_non_finite_parameters_rejected(self, grid_step, eps):
         # y = 0 admits any step, so only finiteness stands between inf and a
@@ -192,6 +210,19 @@ class TestEpsilonEquilibria:
         with pytest.raises(InputError, match="must be finite and positive"):
             epsilon_equilibria(game, grid_step=grid_step, eps=eps)
         assert epsilon_equilibria(game, grid_step=1e308, eps=1e-3).members == (
+            BehaviorProfile(0.0, 0.0, 0.0),
+        )
+
+    @pytest.mark.parametrize(
+        "grid_step, eps",
+        [(1, 1), (np.float32(0.5), np.float32(1e-3)), (np.float64(0.5), np.float64(1e-3)),
+         (np.int64(1), 1e-3)],
+        ids=["int", "float32", "float64", "int64"],
+    )
+    def test_numeric_parameters_accepted(self, grid_step, eps):
+        # y = 0 admits any step; the lattice is the one profile at the origin
+        game = SignalingGame(0.5, 0.0, 3.0, AffineHazard(0.5, 0.4), LinearReach(1.0))
+        assert epsilon_equilibria(game, grid_step, eps).members == (
             BehaviorProfile(0.0, 0.0, 0.0),
         )
 
@@ -272,49 +303,71 @@ class TestEpsilonEquilibria:
         assert digest.hexdigest() == "161bb05e721afd5314dc05856bf345ee1709fa82e297d257b0a1427214e84451"
 
 
-class TestBestResponseDynamics:
-    def test_converges_to_corner_equilibrium(self):
-        game = adoption_backfire_game(1.0)
-        path = best_response_dynamics(
-            game, BehaviorProfile(0.05, 0.45, 0.0), steps=500, rate=0.2
+class TestOracleVerdict:
+    def scenario_game(self):
+        scenario = load_scenario(SCENARIO_DIR / "zero_signal_optimum.scn")
+        return scenario.game_at(scenario.beta)
+
+    def test_agrees_on_a_shipped_scenario(self):
+        game = self.scenario_game()
+        v = oracle_verdict(game, solve_equilibrium(game), 0.01, 1e-3)
+        assert v.verdict == "agree"
+        assert v.mass_dev <= 0.03 and v.P_dev <= 0.02
+
+    def test_members_are_the_scans(self):
+        game = self.scenario_game()
+        v = oracle_verdict(game, solve_equilibrium(game), 0.01, 1e-3)
+        assert v.members
+        assert v.members == epsilon_equilibria(game, 0.01, 1e-3).members
+
+    def test_moved_P_disagrees(self):
+        game = self.scenario_game()
+        rep = solve_equilibrium(game)
+        v = oracle_verdict(game, dataclasses.replace(rep, P=rep.P + 0.1), 0.01, 1e-3)
+        assert v.verdict == "disagree"
+        assert v.P_dev > 0.02
+
+    def test_no_member_is_empty(self):
+        game = SignalingGame(
+            beta=1e-9, y=0.5, r=1000, hazard=PowerHazard(0.00365),
+            signal_reach=ConstantReach(0.0894),
         )
-        final = path.trajectory[-1]
-        assert linf(final, 0.0, 0.9) <= 1e-3
-        assert path.converged
-        assert path.final_check.ok
+        v = oracle_verdict(game, solve_equilibrium(game), 0.01, 1e-3)
+        assert (v.verdict, v.members) == ("empty", ())
+        assert math.isnan(v.mass_dev) and math.isnan(v.P_dev)
 
-    def test_equilibrium_is_a_fixed_point(self):
-        game = steep_hazard_game(0.0)  # NCVC
-        path = best_response_dynamics(game, BehaviorProfile(0.0, 0.0, 0.0), steps=50, rate=0.5)
-        assert path.converged
-        assert all(p == BehaviorProfile(0.0, 0.0, 0.0) for p in path.trajectory)
+    def test_deviation_at_the_tolerance_agrees(self):
+        # everyone careful (p(0) = 0.4 > 1/(1+r)): the one member is the origin, whose
+        # mass is 0. A step of 2**-4 makes both tolerances and both deviations exact.
+        game = SignalingGame(0.5, 0.5, 3.0, AffineHazard(0.5, 0.4), LinearReach(1.0))
+        step = 2.0**-4
+        origin = BehaviorProfile(0.0, 0.0, 0.0)
+        rep = solve_equilibrium(game)
+        P = solve_profile_P(game, origin).P
+        at = dataclasses.replace(rep, x_ne=BehaviorProfile(3 * step, 0.0), P=P - 2 * step)
+        v = oracle_verdict(game, at, step, 1e-3)
+        assert v.members == (origin,)
+        assert (v.mass_dev, v.P_dev) == (3 * step, 2 * step)
+        assert v.verdict == "agree"
+        # one ulp further on either deviation disagrees
+        for beyond in (
+            dataclasses.replace(at, x_ne=BehaviorProfile(math.nextafter(3 * step, 1.0), 0.0)),
+            dataclasses.replace(at, P=math.nextafter(at.P, 0.0)),
+        ):
+            assert oracle_verdict(game, beyond, step, 1e-3).verdict == "disagree"
 
-    def test_full_rate_jumps_in_one_step(self):
-        game = steep_hazard_game(0.0)
-        start = BehaviorProfile(1.0 - game.y, game.y, 0.0)
-        path = best_response_dynamics(game, start, steps=10, rate=1.0)
-        assert path.trajectory[1] == BehaviorProfile(0.0, 0.0, 0.0)
-        assert path.converged
+    @pytest.mark.parametrize(
+        "grid_step, eps, what",
+        [(0.05, "1e-3", "eps"), (None, 1e-3, "grid_step"), (math.inf, 1e-3, "grid_step")],
+        ids=["eps-str", "step-none", "step-inf"],
+    )
+    def test_parameters_checked_as_the_scan_checks_them(self, grid_step, eps, what):
+        game = self.scenario_game()
+        with pytest.raises(InputError, match=f"^{what} must be finite and positive"):
+            oracle_verdict(game, solve_equilibrium(game), grid_step, eps)
 
-    def test_nonconvergence_is_reported_not_raised(self):
-        game = adoption_backfire_game(1.0)
-        path = best_response_dynamics(
-            game, BehaviorProfile(0.05, 0.2, 0.0), steps=3, rate=0.05
-        )
-        assert not path.converged
-        assert len(path.trajectory) == 4
-
-    def test_steps_must_be_an_integer(self):
-        game = adoption_backfire_game(1.0)
-        start = BehaviorProfile(0.05, 0.45, 0.0)
-        with pytest.raises(InputError, match="steps must be an integer"):
-            best_response_dynamics(game, start, steps=1.5, rate=0.2)
-        path = best_response_dynamics(game, start, steps=np.int64(3), rate=0.2)
-        assert path == best_response_dynamics(game, start, steps=3, rate=0.2)
-
-    def test_rate_validation(self):
-        game = adoption_backfire_game(1.0)
-        with pytest.raises(InputError):
-            best_response_dynamics(game, BehaviorProfile(0, 0, 0), steps=5, rate=0.0)
-        with pytest.raises(InputError):
-            best_response_dynamics(game, BehaviorProfile(0, 0, 0), steps=5, rate=1.5)
+    def test_numpy_float32_parameters_accepted(self):
+        game = self.scenario_game()
+        rep = solve_equilibrium(game)
+        v = oracle_verdict(game, rep, np.float32(0.05), np.float32(1e-3))
+        assert v.verdict == "agree"
