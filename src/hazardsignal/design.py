@@ -6,6 +6,11 @@ settle the question. Social cost has no such global structure: full
 display is optimal unless some quality lands the game in the NCVR region,
 where cost can move against beta; there we grid-sample and refine the best
 cell by golden section.
+
+Every beta builds and validates its own SignalingGame, then calls the
+equilibrium core (equilibrium._solve) for plain numbers: a sweep builds one
+SweepRecord per beta and the optimizers keep only P or S, so no report,
+profile or cost table is built for a beta they discard.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ import math
 import operator
 
 from .model import MAX_GRID_POINTS, InputError, ParameterError, SignalingGame
-from .equilibrium import EquilibriumReport, Region, solve_equilibrium
+from .equilibrium import EquilibriumReport, Region, _solve
+# unused here since sweeps call _solve; hsbench/test_hsbench.py traces it under this name
+from .equilibrium import solve_equilibrium  # noqa: F401
 
 __all__ = [
     "DesignObjective",
@@ -82,12 +89,16 @@ class DesignResult:
 def with_beta(game: SignalingGame, beta: float) -> SignalingGame:
     """Same game, different signal quality (revalidated).
 
-    Numbers convert through float(); text and None are refused, as the
-    SignalingGame constructor refuses them.
+    Numbers convert through float(); text, None and anything float() refuses
+    or overflows on raise ParameterError, as the SignalingGame constructor does.
     """
-    if beta is None or isinstance(beta, (str, bytes)):
-        raise ParameterError(f"game parameter beta must be a finite number, got {beta!r}")
-    return dataclasses.replace(game, beta=float(beta))
+    try:
+        if beta is None or isinstance(beta, (str, bytes)):
+            raise TypeError
+        beta = float(beta)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"game parameter beta must be a finite number, got {beta!r}") from None
+    return SignalingGame(beta, game.y, game.r, game.hazard, game.signal_reach)
 
 
 def sweep_beta(
@@ -99,12 +110,17 @@ def sweep_beta(
     """
     if _count(grid_n) < 2:
         raise InputError(f"sweep needs at least two grid points, got {grid_n!r}")
-    if not 0.0 <= lo <= hi <= 1.0:
+    try:
+        ordered = 0.0 <= lo <= hi <= 1.0
+    except TypeError:
+        raise InputError(f"sweep range [{lo!r}, {hi!r}] must be two numbers") from None
+    if not ordered:
         raise InputError(f"sweep range [{lo!r}, {hi!r}] must be ordered within [0, 1]")
-    return [
-        SweepRecord.from_report(beta, solve_equilibrium(with_beta(game, beta)))
-        for beta in _beta_grid(lo, hi, grid_n)
-    ]
+    records = []
+    for beta in _beta_grid(lo, hi, grid_n):
+        region, x_n, x_vu, P, Q, posterior, S = _solve(with_beta(game, beta))
+        records.append(SweepRecord(beta, region, P, S, x_n, x_vu, Q, posterior))
+    return records
 
 
 def _count(n) -> int:
@@ -131,8 +147,8 @@ def optimal_beta_accidents(game: SignalingGame) -> DesignResult:
     Single-peakedness reduces the search to the endpoints; ties go to
     beta = 0, the cheaper policy.
     """
-    p0 = solve_equilibrium(with_beta(game, 0.0)).P
-    p1 = solve_equilibrium(with_beta(game, 1.0)).P
+    p0 = _solve(with_beta(game, 0.0))[3]
+    p1 = _solve(with_beta(game, 1.0))[3]
     if p0 <= p1:
         return DesignResult(DesignObjective.ACCIDENT_PROBABILITY, 0.0, p0, (p0, p1))
     return DesignResult(DesignObjective.ACCIDENT_PROBABILITY, 1.0, p1, (p0, p1))
@@ -160,7 +176,7 @@ def optimal_beta_social(game: SignalingGame, grid_n: int = 101) -> DesignResult:
     lo = records[max(best_i - 1, 0)].beta
     hi = records[min(best_i + 1, grid_n - 1)].beta
     refined_beta, refined_s = _golden_min(
-        lambda b: solve_equilibrium(with_beta(game, b)).social_cost,
+        lambda b: _solve(with_beta(game, b))[6],
         lo,
         hi,
         REFINE_BETA_TOL,

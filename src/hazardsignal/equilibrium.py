@@ -15,6 +15,10 @@ profile and accident probability:
 Signaled V2V drivers are always careful, so x_vs = 0 throughout. Region
 conditions can overlap only where their closed forms agree, so the
 classification priority below never changes the reported probability.
+
+solve_equilibrium wraps a private core, _solve, that returns the same
+values as a plain tuple; design's beta sweeps and optimizers call the core
+and build no report, profile or cost table per beta.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .model import (
     ModelError,
     SignalingGame,
 )
-from .consistency import DegenerateSignalError, group_costs, posterior_no_signal, solve_profile_P
+from .consistency import DegenerateSignalError, posterior_no_signal, solve_profile_P
 
 __all__ = [
     "Region",
@@ -109,49 +113,61 @@ def solve_equilibrium(game: SignalingGame) -> EquilibriumReport:
     distinct profiles with the same aggregate reckless mass are also
     equilibria; the canonical one (V2V group saturated first) is returned.
     """
+    region, x_n, x_vu, P, Q, posterior, s = _solve(game)
+    return EquilibriumReport(
+        region=region,
+        x_ne=BehaviorProfile(x_n, x_vu, 0.0),
+        P=P,
+        Q=Q,
+        posterior=posterior,
+        social_cost=s,
+    )
+
+
+def _solve(game: SignalingGame) -> tuple[Region, float, float, float, float, float, float]:
+    """solve_equilibrium's values as a plain (region, x_n, x_vu, P, Q, posterior, S) tuple.
+
+    design's sweeps and optimizers call this once per beta and keep only
+    the numbers, so no report, profile or GroupCosts is built for a beta
+    they discard. The game itself is still built and validated per beta.
+    S is group_costs' cost table summed in the same operand order, so it
+    matches the report's social_cost bit for bit; x_vs is always 0.
+    """
     region = classify_region(game)
     p, y, r, rate = game.hazard, game.y, game.r, game.signal_rate
-    t_prior = 1.0 / (1.0 + r)
-    t_unsignaled = 1.0 / (1.0 + r * (1.0 - rate))
 
-    P = None
-    if region is Region.NCVC:
-        x = BehaviorProfile(0.0, 0.0, 0.0)
-        P = p.floor
-    elif region is Region.NCVI:
-        share = 1.0 - rate * t_unsignaled
-        if share <= 1e-15:
-            # the invariant posterior_no_signal guards, at the same threshold
-            raise DegenerateSignalError(
-                "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined"
-            )
-        x_vu = p.inverse(t_unsignaled) / share
-        x = BehaviorProfile(0.0, _bounded(x_vu, 0.0, y, "unsignaled V2V reckless mass", region), 0.0)
-        P = t_unsignaled
-    elif region is Region.NIVR:
-        x_n = p.inverse(t_prior) - (1.0 - rate * t_prior) * y
-        x = BehaviorProfile(_bounded(x_n, 0.0, 1.0 - y, "non-V2V reckless mass", region), y, 0.0)
-        P = t_prior
-    elif region is Region.NRVR:
-        x = BehaviorProfile(1.0 - y, y, 0.0)
-    else:
-        x = BehaviorProfile(0.0, y, 0.0)
-
-    if P is None:
-        res = solve_profile_P(game, x)
+    if region is Region.NCVR or region is Region.NRVR:
+        x_n, x_vu = (1.0 - y if region is Region.NRVR else 0.0), y
+        res = solve_profile_P(game, BehaviorProfile(x_n, x_vu, 0.0))
         P, Q, posterior = res.P, res.Q, res.posterior_no_signal
     else:
+        if region is Region.NCVC:
+            x_n, x_vu, P = 0.0, 0.0, p.floor
+        elif region is Region.NCVI:
+            P = 1.0 / (1.0 + r * (1.0 - rate))
+            share = 1.0 - rate * P
+            if share <= 1e-15:
+                # the invariant posterior_no_signal guards, at the same threshold
+                raise DegenerateSignalError(
+                    "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined"
+                )
+            x_n = 0.0
+            x_vu = _bounded(p.inverse(P) / share, 0.0, y, "unsignaled V2V reckless mass", region)
+        else:
+            P = 1.0 / (1.0 + r)
+            x_n = p.inverse(P) - (1.0 - rate * P) * y
+            x_n = _bounded(x_n, 0.0, 1.0 - y, "non-V2V reckless mass", region)
+            x_vu = y
         Q = P * rate
         posterior = posterior_no_signal(game, P)
 
-    costs = group_costs(game, P, posterior)
-    # signaled V2V drivers act on certainty and incur no cost either way
+    # group_costs' clamps and cost table, summed in its order; signaled V2V
+    # drivers act on certainty and incur no cost either way
+    Pc = min(max(P, 0.0), 1.0)
+    bc = min(max(posterior, 0.0), 1.0)
     s = (
-        costs.n_careful * (1.0 - y - x.x_n)
-        + costs.n_reckless * x.x_n
-        + (1.0 - Q) * (costs.vu_careful * (y - x.x_vu) + costs.vu_reckless * x.x_vu)
+        (1.0 - Pc) * (1.0 - y - x_n)
+        + (r * Pc) * x_n
+        + (1.0 - Q) * ((1.0 - bc) * (y - x_vu) + (r * bc) * x_vu)
     )
-    return EquilibriumReport(
-        region=region, x_ne=x, P=P, Q=Q, posterior=posterior, social_cost=s
-    )
-
+    return region, x_n, x_vu, P, Q, posterior, s

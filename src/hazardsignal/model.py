@@ -88,6 +88,15 @@ class ParameterError(ModelError):
     """A game parameter violates the model's constraints."""
 
 
+def _finite(x) -> bool:
+    """True for a finite real number; False, not an exception, for text,
+    None and the like, and for an int too large to convert to a float."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _unit(x, what: str):
     """Validate x in [0, 1] (scalar or array), clamping float overshoot.
 
@@ -98,10 +107,10 @@ def _unit(x, what: str):
     if type(x) is float and 0.0 <= x <= 1.0:
         return x
     if isinstance(x, (int, float)):
-        v = float(x)
-        if math.isnan(v) or v < -UNIT_SLACK or v > 1.0 + UNIT_SLACK:
+        # compared before float(), which overflows on a huge int; NaN fails too
+        if not -UNIT_SLACK <= x <= 1.0 + UNIT_SLACK:
             raise InputError(f"{what} must lie in [0, 1], got {x!r}")
-        return min(max(v, 0.0), 1.0)
+        return min(max(float(x), 0.0), 1.0)
     if x is None or isinstance(x, (str, bytes)):
         raise InputError(f"{what} must be a number, got {x!r}")
     import numpy as np
@@ -151,7 +160,7 @@ class AffineHazard:
     intercept: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
+        if not (_finite(self.slope) and _finite(self.intercept)):
             raise CurveError("affine hazard parameters must be finite")
         if self.slope <= 0:
             raise CurveError(
@@ -190,7 +199,7 @@ class PowerHazard:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.exponent) or self.exponent <= 0:
+        if not _finite(self.exponent) or self.exponent <= 0:
             raise CurveError(
                 f"power hazard must be strictly increasing (exponent > 0), got {self.exponent!r}"
             )
@@ -295,7 +304,7 @@ class LinearReach:
     slope: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.slope) or not 0.0 <= self.slope <= 1.0:
+        if not _finite(self.slope) or not 0.0 <= self.slope <= 1.0:
             raise CurveError(
                 f"linear reach slope must lie in [0, 1] to keep q inside [0, 1], got {self.slope!r}"
             )
@@ -311,7 +320,7 @@ class ConstantReach:
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or not 0.0 <= self.value <= 1.0:
+        if not _finite(self.value) or not 0.0 <= self.value <= 1.0:
             raise CurveError(f"constant reach must lie in [0, 1], got {self.value!r}")
 
     def __call__(self, y):
@@ -362,7 +371,7 @@ class BehaviorProfile:
     def __post_init__(self) -> None:
         for name in ("x_n", "x_vu", "x_vs"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+            if not isinstance(v, (int, float)) or not _finite(v) or v < 0:
                 raise InputError(
                     f"reckless mass {name} must be a finite nonnegative number, got {v!r}"
                 )
@@ -376,7 +385,7 @@ def validate_game(game: SignalingGame) -> SignalingGame:
     """
     for name in ("beta", "y", "r"):
         v = getattr(game, name)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not isinstance(v, (int, float)) or not _finite(v):
             raise ParameterError(f"game parameter {name} must be a finite number, got {v!r}")
     if not 0.0 <= game.beta <= 1.0:
         raise ParameterError(f"signal quality beta must lie in [0, 1], got {game.beta!r}")

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import MAX_GRID_POINTS, BehaviorProfile, InputError, SignalingGame
+from .model import MAX_GRID_POINTS, BehaviorProfile, InputError, SignalingGame, _finite
 from .consistency import solve_profile_P
 
 if TYPE_CHECKING:
@@ -43,14 +43,6 @@ __all__ = [
 #: oracle agreement tolerances on reckless accident mass and on P, in scan grid steps
 MASS_TOL_STEPS = 3.0
 P_TOL_STEPS = 2.0
-
-
-def _finite(x) -> bool:
-    """True for a finite real number; False, not a TypeError, for text, None and the like."""
-    try:
-        return math.isfinite(x)
-    except TypeError:
-        return False
 
 
 @dataclass(frozen=True)

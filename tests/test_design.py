@@ -1,19 +1,26 @@
 """Signal-quality optimization and sweeps."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hazardsignal import (
     ConstantReach,
+    DegenerateSignalError,
     DesignObjective,
+    InputError,
     ParameterError,
     Region,
     SignalingGame,
     AffineHazard,
+    SweepRecord,
+    group_costs,
     optimal_beta_accidents,
     optimal_beta_social,
     single_peaked,
+    solve_equilibrium,
     sweep_beta,
     with_beta,
 )
@@ -24,6 +31,7 @@ from conftest import (
     cost_reversal_game,
     random_game,
     steep_hazard_game,
+    table_curves,
 )
 
 
@@ -123,8 +131,6 @@ class TestSweepBeta:
         assert len({rec.S for rec in records}) == 1
 
     def test_rejects_degenerate_grid(self):
-        from hazardsignal import InputError
-
         with pytest.raises(InputError):
             sweep_beta(steep_hazard_game(0.5), 1)
 
@@ -134,8 +140,6 @@ class TestSweepBeta:
          pytest.param(b"5", id="bytes")],
     )
     def test_count_must_be_an_integer(self, count):
-        from hazardsignal import InputError
-
         game = steep_hazard_game(0.5)
         with pytest.raises(InputError, match="must be an integer"):
             sweep_beta(game, count)
@@ -151,16 +155,35 @@ class TestSweepBeta:
 
     def test_records_match_reports(self):
         records = sweep_beta(cost_reversal_game(0.0), 11)
-        from hazardsignal import solve_equilibrium
-
         for rec in records:
             rep = solve_equilibrium(with_beta(cost_reversal_game(0.0), rec.beta))
             assert rec.P == rep.P and rec.S == rep.social_cost
             assert rec.region is rep.region
 
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [("0", 1), (0, "1"), (b"0", 1), (None, 1), (0, None)],
+        ids=["lo-str", "hi-str", "lo-bytes", "lo-none", "hi-none"],
+    )
+    def test_range_must_be_numbers(self, lo, hi):
+        with pytest.raises(InputError, match=r"sweep range \[.*\] must be two numbers"):
+            sweep_beta(steep_hazard_game(0.5), 5, lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.7, 0.2), (-0.1, 1), (0, 1.5), (float("nan"), 1), (0, 10**400)],
+        ids=["reversed", "below-0", "above-1", "nan", "huge-int"],
+    )
+    def test_range_out_of_order_or_outside_the_unit_interval(self, lo, hi):
+        with pytest.raises(InputError, match=r"must be ordered within \[0, 1\]"):
+            sweep_beta(steep_hazard_game(0.5), 5, lo, hi)
+
+
 class TestWithBeta:
-    @pytest.mark.parametrize("beta", ["0.5", b"0.5", None], ids=["str", "bytes", "none"])
+    @pytest.mark.parametrize(
+        "beta", ["0.5", b"0.5", None, [0.5], 10**400],
+        ids=["str", "bytes", "none", "list", "huge-int"],
+    )
     def test_refuses_what_the_constructor_refuses(self, beta):
         game = steep_hazard_game(0.5)
         with pytest.raises(ParameterError, match="beta must be a finite number"):
@@ -175,6 +198,74 @@ class TestWithBeta:
         for beta in (1, np.float32(0.25), np.float64(0.75), np.int64(0)):
             changed = with_beta(game, beta).beta
             assert type(changed) is float and changed == float(beta)
+
+
+@st.composite
+def design_games(draw):
+    """random_game draws, half of them with a table hazard instead."""
+    game = random_game(random.Random(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        game = dataclasses.replace(game, hazard=draw(table_curves()))
+    return game
+
+
+def public_solve(game, beta):
+    return solve_equilibrium(with_beta(game, beta))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return float.hex(a) == float.hex(b)
+
+
+class TestSolveCore:
+    """Sweeps and optimizers read the equilibrium core; every value they
+    return equals the public solve_equilibrium's at the same beta, bit for bit."""
+
+    @given(design_games())
+    def test_sweep_records_equal_the_public_solve(self, game):
+        for rec in sweep_beta(game, 11):
+            ref = SweepRecord.from_report(rec.beta, public_solve(game, rec.beta))
+            assert rec.region is ref.region
+            for field in dataclasses.fields(SweepRecord):
+                if field.name != "region":
+                    assert same_bits(getattr(rec, field.name), getattr(ref, field.name)), field
+
+    @given(design_games())
+    def test_optimizers_equal_the_public_solve(self, game):
+        acc = optimal_beta_accidents(game)
+        assert same_bits(acc.value_at_star, public_solve(game, acc.beta_star).P)
+        ends = (public_solve(game, 0.0), public_solve(game, 1.0))
+        assert all(map(same_bits, acc.endpoint_comparison, [rep.P for rep in ends]))
+        social = optimal_beta_social(game, 11)
+        assert same_bits(social.value_at_star, public_solve(game, social.beta_star).social_cost)
+        assert all(map(same_bits, social.endpoint_comparison, [rep.social_cost for rep in ends]))
+
+    @given(design_games(), st.floats(0.0, 1.0))
+    def test_social_cost_is_the_group_cost_sum(self, game, beta):
+        game = with_beta(game, beta)
+        rep = solve_equilibrium(game)
+        costs = group_costs(game, rep.P, rep.posterior)
+        x, y = rep.x_ne, game.y
+        s = (
+            costs.n_careful * (1.0 - y - x.x_n)
+            + costs.n_reckless * x.x_n
+            + (1.0 - rep.Q) * (costs.vu_careful * (y - x.x_vu) + costs.vu_reckless * x.x_vu)
+        )
+        assert same_bits(rep.social_cost, s)
+
+    def test_degenerate_signal_error_is_the_same_on_every_path(self):
+        # p rounds to 1 everywhere and beta*q = 1: the NCVI posterior is 0/0
+        game = SignalingGame(1.0, 0.5, 3.0, AffineHazard(1e-17, 1.0), ConstantReach(1.0))
+        message = "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined"
+        for call in (
+            lambda: solve_equilibrium(game),
+            lambda: sweep_beta(game, 5),
+            lambda: optimal_beta_accidents(game),
+            lambda: optimal_beta_social(game, 5),
+        ):
+            with pytest.raises(DegenerateSignalError) as info:
+                call()
+            assert type(info.value) is DegenerateSignalError and str(info.value) == message
 
 
 class TestSweepInvariants:

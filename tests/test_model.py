@@ -205,7 +205,9 @@ class TestCurveArguments:
         assert curve(-0.0).hex() == expected[type(curve)].hex()
 
     @every_family
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-8, 1.0 + 1e-8])
+    @pytest.mark.parametrize(
+        "x", [math.nan, math.inf, -math.inf, -1e-8, 1.0 + 1e-8, pytest.param(10**400, id="huge-int")]
+    )
     def test_outside_unit_interval_rejected(self, curve, x):
         with pytest.raises(InputError):
             curve(x)
@@ -254,6 +256,17 @@ class TestCurveValidation:
             PowerHazard(0.0)
         with pytest.raises(CurveError):
             PowerHazard(-2.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda v: AffineHazard(v, 0.0), lambda v: AffineHazard(0.5, v), PowerHazard,
+         LinearReach, ConstantReach],
+        ids=["affine-slope", "affine-intercept", "power", "linear", "constant"],
+    )
+    @pytest.mark.parametrize("v", [10**400, "0.5", None], ids=["huge-int", "str", "none"])
+    def test_parameter_that_is_not_a_finite_number(self, make, v):
+        with pytest.raises(CurveError):
+            make(v)
 
     def test_table_invariants(self):
         with pytest.raises(CurveError):
@@ -304,6 +317,12 @@ class TestGameValidation:
                 beta=beta, y=y, r=2.0, hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9)
             )
 
+    @pytest.mark.parametrize("name", ["beta", "y", "r"])
+    def test_int_too_large_for_a_float_rejected(self, name):
+        params = dict(beta=0.5, y=0.5, r=3.0) | {name: 10**400}
+        with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+            SignalingGame(hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9), **params)
+
     def test_signal_rate(self):
         game = SignalingGame(
             beta=0.5, y=0.9, r=3.0, hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9)
@@ -326,6 +345,8 @@ class TestBehaviorProfile:
             BehaviorProfile(0.0, math.nan, 0.0)
         with pytest.raises(InputError):
             BehaviorProfile(math.inf, 0.0)
+        with pytest.raises(InputError, match="x_n must be a finite nonnegative number"):
+            BehaviorProfile(10**400, 0)
 
     def test_profile_bounds_against_game(self):
         game = SignalingGame(
