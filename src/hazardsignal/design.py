@@ -7,10 +7,14 @@ display is optimal unless some quality lands the game in the NCVR region,
 where cost can move against beta; there we grid-sample and refine the best
 cell by golden section.
 
-Every beta builds and validates its own SignalingGame, then calls the
-equilibrium core (equilibrium._solve) for plain numbers: a sweep builds one
-SweepRecord per beta and the optimizers keep only P or S, so no report,
-profile or cost table is built for a beta they discard.
+Each distinct beta per game object builds and validates its own
+SignalingGame and calls the equilibrium core (equilibrium._solve) for plain
+numbers: a sweep builds one SweepRecord per beta and the optimizers keep
+only P or S, so no report, profile or cost table is built for a beta they
+discard. The core's tuple is remembered on the caller's game object, keyed
+by beta, so the social optimizer's grid, the endpoints of its refinement and
+the accident rule's endpoints reuse what an earlier call on the same object
+solved, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ __all__ = [
 
 #: beta-interval width at which golden-section refinement stops
 REFINE_BETA_TOL = 1e-6
+
+#: most solved betas one game object remembers. A 101-point sweep, the
+#: social optimizer's grid and its refinement need about 130, and grids of a
+#: few thousand still fit; a MAX_GRID_POINTS sweep would otherwise hold every
+#: solve a second time beside its records, so past the cap betas are solved
+#: and not stored.
+_MEMO_CAP = 4096
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -118,9 +129,28 @@ def sweep_beta(
         raise InputError(f"sweep range [{lo!r}, {hi!r}] must be ordered within [0, 1]")
     records = []
     for beta in _beta_grid(lo, hi, grid_n):
-        region, x_n, x_vu, P, Q, posterior, S = _solve(with_beta(game, beta))
+        region, x_n, x_vu, P, Q, posterior, S = _solve_at(game, beta)
         records.append(SweepRecord(beta, region, P, S, x_n, x_vu, Q, posterior))
     return records
+
+
+def _solve_at(game: SignalingGame, beta: float) -> tuple:
+    """_solve(with_beta(game, beta)), remembered on this game object.
+
+    The memo lives in the object's __dict__, not in a field, so equal but
+    distinct games never share it; copy.copy and pickle carry it along,
+    which is safe, since every entry depends only on the fields. Keys
+    compare as numbers; the grids and golden-section probes never produce
+    -0.0, the one float that equals another of different bits. A beta that
+    raises is not stored, so it raises again next time.
+    """
+    memo = game.__dict__.setdefault("_beta_solves", {})
+    solved = memo.get(beta)
+    if solved is None:
+        solved = _solve(with_beta(game, beta))
+        if len(memo) < _MEMO_CAP:
+            memo[beta] = solved
+    return solved
 
 
 def _count(n) -> int:
@@ -147,8 +177,8 @@ def optimal_beta_accidents(game: SignalingGame) -> DesignResult:
     Single-peakedness reduces the search to the endpoints; ties go to
     beta = 0, the cheaper policy.
     """
-    p0 = _solve(with_beta(game, 0.0))[3]
-    p1 = _solve(with_beta(game, 1.0))[3]
+    p0 = _solve_at(game, 0.0)[3]
+    p1 = _solve_at(game, 1.0)[3]
     if p0 <= p1:
         return DesignResult(DesignObjective.ACCIDENT_PROBABILITY, 0.0, p0, (p0, p1))
     return DesignResult(DesignObjective.ACCIDENT_PROBABILITY, 1.0, p1, (p0, p1))
@@ -176,7 +206,7 @@ def optimal_beta_social(game: SignalingGame, grid_n: int = 101) -> DesignResult:
     lo = records[max(best_i - 1, 0)].beta
     hi = records[min(best_i + 1, grid_n - 1)].beta
     refined_beta, refined_s = _golden_min(
-        lambda b: _solve(with_beta(game, b))[6],
+        lambda b: _solve_at(game, b)[6],
         lo,
         hi,
         REFINE_BETA_TOL,

@@ -7,9 +7,13 @@ penetration y), a display quality beta, a penetration y, and an accident
 cost r > 1. Behavior profiles record the reckless mass in each of the
 three driver groups: non-V2V, unsignaled V2V, and signaled V2V.
 
-All types are immutable and validated at construction; every operation is
-a pure function, so everything here is safe for concurrent use. Curve
-evaluation accepts scalars or numpy arrays. A Python float argument is
+All types are immutable and validated at construction, and every operation
+is a pure function, so everything here is safe for concurrent use. The one
+mutable state is the memo of solved signal qualities that design keeps on
+each SignalingGame object: concurrent callers at worst both miss it and
+solve the same beta twice, with identical bits.
+
+Curve evaluation accepts scalars or numpy arrays. A Python float argument is
 evaluated in pure Python, without numpy's per-call overhead, because the
 scalar solvers call curves tens of times per solve; a table curve's scalar
 path reproduces np.interp bit for bit, and arrays go through numpy. numpy
@@ -223,6 +227,32 @@ class PowerHazard:
         return min(max(v ** (1.0 / self.exponent), 0.0), 1.0)
 
 
+def _float_knots(knots) -> tuple[tuple[float, float], ...]:
+    """A table's knots as pairs of floats.
+
+    Anything but a sequence of pairs of finite numbers raises CurveError,
+    not the TypeError, ValueError or OverflowError of unpacking or float().
+    """
+    try:
+        knots = tuple(knots)
+    except TypeError:
+        raise CurveError(
+            f"hazard table knots must be a sequence of (mass, probability) pairs, got {knots!r}"
+        ) from None
+    pairs = []
+    for knot in knots:
+        try:
+            d, v = knot
+        except (TypeError, ValueError):
+            raise CurveError(
+                f"hazard table knot {knot!r} is not a (mass, probability) pair"
+            ) from None
+        if not (_finite(d) and _finite(v)):
+            raise CurveError(f"hazard table knots must be finite numbers, got {knot!r}")
+        pairs.append((float(d), float(v)))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class TableHazard:
     """Piecewise-linear hazard through (mass, probability) knots.
@@ -239,13 +269,9 @@ class TableHazard:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "knots", tuple((float(d), float(v)) for d, v in self.knots)
-        )
+        object.__setattr__(self, "knots", _float_knots(self.knots))
         if len(self.knots) < 2:
             raise CurveError("hazard table needs at least two knots")
-        if any(not (math.isfinite(d) and math.isfinite(v)) for d, v in self.knots):
-            raise CurveError("hazard table knots must be finite")
         ds = [d for d, _ in self.knots]
         vs = [v for _, v in self.knots]
         if abs(ds[0]) > 1e-12 or abs(ds[-1] - 1.0) > 1e-12:
@@ -343,6 +369,12 @@ class SignalingGame:
     beta is the probability a received warning is actually shown to the
     driver (the designer's control), y the fraction of V2V-equipped cars,
     and r > 1 the expected cost of driving recklessly into an accident.
+
+    design's sweeps and optimizers remember the equilibria they solve for
+    this object, one per distinct beta, in a private memo in the instance
+    __dict__. The memo is not a field: ==, hash, repr, dataclasses.fields
+    and dataclasses.replace ignore it, so an equal game built anew starts
+    with an empty one.
     """
 
     beta: float

@@ -2,10 +2,13 @@
 
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import hazardsignal.design as design
 from hazardsignal import (
     ConstantReach,
     DegenerateSignalError,
@@ -266,6 +269,138 @@ class TestSolveCore:
             with pytest.raises(DegenerateSignalError) as info:
                 call()
             assert type(info.value) is DegenerateSignalError and str(info.value) == message
+
+
+def record_bits(rec: SweepRecord) -> tuple:
+    return tuple(
+        rec.region if f.name == "region" else float.hex(getattr(rec, f.name))
+        for f in dataclasses.fields(SweepRecord)
+    )
+
+
+def result_bits(res) -> tuple:
+    return (
+        res.objective,
+        float.hex(res.beta_star),
+        float.hex(res.value_at_star),
+        tuple(map(float.hex, res.endpoint_comparison)),
+    )
+
+
+def design_bits(game, grid_n: int) -> tuple:
+    """The three design calls on one game object, as bits."""
+    return (
+        [record_bits(rec) for rec in sweep_beta(game, grid_n)],
+        result_bits(optimal_beta_social(game, grid_n)),
+        result_bits(optimal_beta_accidents(game)),
+    )
+
+
+def fresh(game: SignalingGame) -> SignalingGame:
+    return SignalingGame(game.beta, game.y, game.r, game.hazard, game.signal_reach)
+
+
+@pytest.fixture
+def games_built(monkeypatch):
+    """Counts the games design builds, one per with_beta call."""
+    built = []
+    real = design.with_beta
+
+    def counting(game, beta):
+        built.append(beta)
+        return real(game, beta)
+
+    monkeypatch.setattr(design, "with_beta", counting)
+    return built
+
+
+class TestSolveMemo:
+    """Each game object remembers the betas its design calls solved."""
+
+    @settings(max_examples=40)
+    @given(design_games(), st.sampled_from([2, 11, 31]))
+    def test_warm_calls_equal_cold_calls_bit_for_bit(self, game, grid_n):
+        design_bits(game, grid_n)
+        warm = design_bits(game, grid_n)
+        cold = (
+            [record_bits(rec) for rec in sweep_beta(fresh(game), grid_n)],
+            result_bits(optimal_beta_social(fresh(game), grid_n)),
+            result_bits(optimal_beta_accidents(fresh(game))),
+        )
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "make", [cost_reversal_game, steep_hazard_game, adoption_backfire_game]
+    )
+    def test_warm_calls_build_no_game(self, games_built, make):
+        game = make(0.5)
+        cold = design_bits(game, 101)
+        assert len(games_built) >= 101
+        games_built.clear()
+        assert design_bits(game, 101) == cold
+        assert games_built == []
+
+    def test_accident_rule_reuses_the_sweep_endpoints(self, games_built):
+        game = adoption_backfire_game(0.5)
+        sweep_beta(game, 5)
+        games_built.clear()
+        optimal_beta_accidents(game)
+        assert games_built == []
+
+    def test_equal_games_do_not_share_a_memo(self, games_built):
+        first, second = cost_reversal_game(0.5), cost_reversal_game(0.5)
+        sweep_beta(first, 11)
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second)
+        assert [f.name for f in dataclasses.fields(first)] == [
+            "beta", "y", "r", "hazard", "signal_reach"
+        ]
+        for other in (second, dataclasses.replace(first), dataclasses.replace(first, beta=0.2)):
+            games_built.clear()
+            sweep_beta(other, 11)
+            assert len(games_built) == 11
+
+    def test_a_beta_that_raises_raises_again(self, games_built):
+        # degenerate at beta = 1 only: p rounds to 1 everywhere and q = 1
+        game = SignalingGame(0.5, 0.5, 3.0, AffineHazard(1e-17, 1.0), ConstantReach(1.0))
+        for call in (lambda: sweep_beta(game, 5), lambda: optimal_beta_accidents(game)):
+            games_built.clear()
+            with pytest.raises(DegenerateSignalError):
+                call()
+            assert games_built[-1] == 1.0
+
+    def test_threads_sharing_one_game_get_the_cold_bits(self):
+        game = cost_reversal_game(0.5)
+        cold = design_bits(fresh(game), 41)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(design_bits(game, 41)))
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [cold] * len(threads)
+
+    def test_memo_stops_at_its_cap(self, games_built):
+        cap = design._MEMO_CAP
+        assert 1000 <= cap <= 10_000
+        game = adoption_backfire_game(0.5)
+        grid_n = cap + 50
+        first = [record_bits(rec) for rec in sweep_beta(game, grid_n)]
+        assert len(games_built) == grid_n
+        for _ in range(2):
+            games_built.clear()
+            assert [record_bits(rec) for rec in sweep_beta(game, grid_n)] == first
+            assert len(games_built) == 50
+        assert first == [record_bits(rec) for rec in sweep_beta(fresh(game), grid_n)]
 
 
 class TestSweepInvariants:

@@ -278,6 +278,23 @@ class TestCurveValidation:
         with pytest.raises(CurveError):
             TableHazard(((0.0, 0.1), (1.0, 1.2)))  # exceeds 1
 
+    @pytest.mark.parametrize(
+        "knots, message",
+        [
+            (((0, 0.1), (10**400, 1)),
+             f"hazard table knots must be finite numbers, got ({10**400!r}, 1)"),
+            (((0, "a"), (1, 1)), "hazard table knots must be finite numbers, got (0, 'a')"),
+            (((0, 0.1, 5), (1, 1)),
+             "hazard table knot (0, 0.1, 5) is not a (mass, probability) pair"),
+            (None, "hazard table knots must be a sequence of (mass, probability) pairs, got None"),
+        ],
+        ids=["huge-int", "str", "three-element", "none"],
+    )
+    def test_table_knots_that_are_not_pairs_of_finite_numbers(self, knots, message):
+        with pytest.raises(CurveError) as info:
+            TableHazard(knots)
+        assert str(info.value) == message
+
 
 class TestSignalReach:
     def test_linear_values(self):
