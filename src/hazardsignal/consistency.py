@@ -10,6 +10,16 @@ profile this closes into a one-dimensional fixed point
 whose left side rises from p(0) to p(1) while the right side is
 nonincreasing in P, so the solution is unique and bisection converges
 unconditionally.
+
+Where p is linear on a piece (an affine hazard, a table segment) the fixed
+point has a closed form, P = (s(x_n + x_vu - d_j) + v_j) / (1 + s·beta·q(y)·x_vu)
+for the piece p(d) = s(d - d_j) + v_j, valid when its mass lies on the
+piece. The bisection is guided by it rather than replaced: the gap
+F(P) = P - p(x_n + (1 - P·beta·q(y))·x_vu) rises at least as fast as P, so
+|F(P)| >= |P - P*|, and at a midpoint farther from the guess than
+BISECT_TOL plus rounding the plain step's move is certain and is taken
+without evaluating p. P and the residual keep the plain bisection's bits.
+Power hazards get no guess and bisect plainly.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from .model import (
     ModelError,
     SignalingGame,
     _bisect,
+    _real,
     validate_profile,
 )
 
@@ -84,13 +95,36 @@ def solve_profile_P(game: SignalingGame, profile: BehaviorProfile) -> Consistenc
         arg = x_n + (1.0 - P * rate) * x_vu
         return P - hazard._eval(min(max(arg, 0.0), 1.0))
 
-    P, g = _bisect(gap, hazard.floor, hazard.ceiling)
+    # the closed form on the first linear piece that holds its own mass
+    guess = math.nan
+    for first, last, d, s, v in hazard._pieces:
+        P = (s * (x_n + x_vu - d) + v) / (1.0 + s * rate * x_vu)
+        if first <= x_n + (1.0 - P * rate) * x_vu <= last:
+            guess = P
+            break
+    P, g = _bisect(gap, hazard.floor, hazard.ceiling, guess, hazard._fixed_point_margin)
     return ConsistencyResult(
         P=P,
         Q=P * rate,
         posterior_no_signal=posterior_no_signal(game, P),
         residual=abs(g),
     )
+
+
+def _probability(v, what: str) -> float:
+    """v as a float in [0, 1], clamping overshoot of up to 1e-12.
+
+    Any real number is range-checked, and anything else (text, None, a
+    complex number) raises InputError rather than being converted.
+    """
+    if type(v) is float and 0.0 <= v <= 1.0:
+        return v
+    if not _real(v):
+        raise InputError(f"{what} must be a number, got {v!r}")
+    # compared before float(), which overflows on a huge int; NaN fails too
+    if not -1e-12 <= v <= 1.0 + 1e-12:
+        raise InputError(f"{what} must lie in [0, 1], got {v!r}")
+    return min(max(float(v), 0.0), 1.0)
 
 
 def posterior_no_signal(game: SignalingGame, P: float) -> float:
@@ -101,10 +135,7 @@ def posterior_no_signal(game: SignalingGame, P: float) -> float:
     1/(1 + r(1 - beta*q)). Never exceeds the prior P: silence is weakly
     good news.
     """
-    if isinstance(P, (int, float)):
-        if math.isnan(P) or P < -1e-12 or P > 1.0 + 1e-12:
-            raise InputError(f"accident probability must lie in [0, 1], got {P!r}")
-    P = min(max(float(P), 0.0), 1.0)
+    P = _probability(P, "accident probability")
     rate = game.signal_rate
     denom = 1.0 - P * rate
     if denom <= 1e-15:
@@ -122,11 +153,8 @@ def group_costs(game: SignalingGame, P: float, posterior: float) -> GroupCosts:
     their accident belief. Signaled drivers know the accident is real, so
     caution is free and recklessness costs the full r.
     """
-    for name, v in (("P", P), ("posterior", posterior)):
-        if math.isnan(v) or v < -1e-12 or v > 1.0 + 1e-12:
-            raise InputError(f"{name} must lie in [0, 1], got {v!r}")
-    P = min(max(float(P), 0.0), 1.0)
-    posterior = min(max(float(posterior), 0.0), 1.0)
+    P = _probability(P, "P")
+    posterior = _probability(posterior, "posterior")
     return GroupCosts(
         n_careful=1.0 - P,
         n_reckless=game.r * P,

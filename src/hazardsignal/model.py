@@ -26,6 +26,11 @@ family's _eval. _eval checks nothing. The package's inner loops (the
 fixed-point bisection, the table inverse, region classification and the
 oracle's sign tests) keep their own arguments in [0, 1] and call _eval
 directly, so no loop step pays for the check.
+
+Both scalar bisections (the table inverse and the consistency fixed point)
+are guided by a closed-form guess of their root. The guess only lets
+_bisect skip the steps whose outcome is certain; it still returns the plain
+bisection's (x, f(x)), bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ UNIT_SLACK = 1e-9
 #: tolerated floating overshoot of a reckless mass over its group's size
 GROUP_SLACK = 1e-9
 
-#: bisection stops once |f(x)| is within this (or the bracket is 4 ulp wide)
+#: bisection stops once |f(x)| is within this (or the bracket is 4 ulp wide); a
+#: guided bisection's margin covers it, so steps it skips could not have stopped
 BISECT_TOL = 1e-12
 
 #: bisection also stops once its bracket is narrower than this (4 ulp of 1)
@@ -67,6 +73,11 @@ _BRACKET_MIN = 4.0 * math.ulp(1.0)
 
 #: bisection iteration cap; the bracket collapses to float resolution long before this
 MAX_ITERATIONS = 200
+
+#: rounding slack of a guided bisection's margin: 64 ulp of 1, several times
+#: the few ulp (per unit of the steepest slope) that a curve evaluation, its
+#: clamped argument and a closed-form guess may each be off by
+_ROUNDING = 64.0 * math.ulp(1.0)
 
 #: most points a beta grid or an oracle lattice may hold, checked before allocating one
 MAX_GRID_POINTS = 1_000_000
@@ -129,13 +140,32 @@ def _unit(x, what: str):
     return np.clip(arr, 0.0, 1.0)
 
 
-def _bisect(f, lo: float, hi: float) -> tuple[float, float]:
+def _bisect(
+    f, lo: float, hi: float, guess: float = math.nan, margin: float = math.inf
+) -> tuple[float, float]:
     """Root of an increasing scalar function on [lo, hi]; returns (x, f(x)).
 
     Stops when |f(x)| <= BISECT_TOL or the bracket is narrower than 4 ulp of 1.
+
+    guess and margin make the bisection guided, with the same result. The
+    caller promises f(x) > BISECT_TOL wherever x > guess + margin and
+    f(x) < -BISECT_TOL wherever x < guess - margin, rounding included. At
+    such a midpoint the plain step would neither stop nor move any other
+    way, so it is taken without calling f; only midpoints within the
+    margin, and the last step on a collapsed bracket, call f. The loop thus
+    visits the same midpoints and returns the same (x, f(x)) as without a
+    guess. A NaN guess or an infinite margin skips nothing. A bracket inside
+    [0, 1] collapses within about 55 steps, so the loop ends on a call of f.
     """
+    below, above = guess - margin, guess + margin
     for _ in range(MAX_ITERATIONS):
         x = 0.5 * (lo + hi)
+        if x > above and (hi - lo) >= _BRACKET_MIN:
+            hi = x
+            continue
+        if x < below and (hi - lo) >= _BRACKET_MIN:
+            lo = x
+            continue
         fx = f(x)
         if abs(fx) <= BISECT_TOL or (hi - lo) < _BRACKET_MIN:
             break
@@ -146,14 +176,43 @@ def _bisect(f, lo: float, hi: float) -> tuple[float, float]:
     return x, fx
 
 
-def _target(v: float, lo: float, hi: float) -> float:
-    """Validate an inversion target against the curve's attainable range."""
-    v = float(v)
-    if math.isnan(v) or v < lo - UNIT_SLACK or v > hi + UNIT_SLACK:
+def _real(x) -> bool:
+    """True for a real number of any type: int, float, a numpy scalar, a
+    Fraction. False for text, None, complex numbers and arrays."""
+    import numbers
+
+    return isinstance(x, numbers.Real)
+
+
+def _target(v, lo: float, hi: float) -> float:
+    """Validate an inversion target against the curve's attainable range.
+
+    Text, None and other non-numbers are refused, not converted.
+    """
+    if type(v) is not float and not _real(v):
+        raise InputError(f"target probability must be a number, got {v!r}")
+    # compared before float(), which overflows on a huge int; NaN fails too
+    if not lo - UNIT_SLACK <= v <= hi + UNIT_SLACK:
         raise RangeError(
             f"target probability {v!r} outside attainable range [{lo:.12g}, {hi:.12g}]"
         )
-    return min(max(v, lo), hi)
+    return min(max(float(v), lo), hi)
+
+
+def _linear_pieces(hazard, segments, first: float, last: float) -> tuple:
+    """A hazard's linear pieces, for the consistency fixed point's guess.
+
+    Each piece is (first mass, last mass, d_j, slope_j, v_j), meaning
+    p(d) = slope_j * (d - d_j) + v_j for masses in the closed range.
+    `segments` cover [first, last]; the fixed point clamps its mass to
+    [0, 1], so below first the curve reads p(0) and above last p(1), and
+    two flat pieces say so.
+    """
+    return (
+        *segments,
+        (last, math.inf, 0.0, 0.0, hazard._eval(1.0)),
+        (-math.inf, first, 0.0, 0.0, hazard._eval(0.0)),
+    )
 
 
 @dataclass(frozen=True)
@@ -176,6 +235,11 @@ class AffineHazard:
             raise CurveError(
                 f"affine hazard needs p(1) <= 1, got p(1) = {self.slope + self.intercept!r}"
             )
+        pieces = _linear_pieces(self, ((0.0, 1.0, 0.0, self.slope, self.intercept),), 0.0, 1.0)
+        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(
+            self, "_fixed_point_margin", BISECT_TOL + _ROUNDING * (1.0 + self.slope)
+        )
 
     @property
     def floor(self) -> float:
@@ -201,6 +265,10 @@ class PowerHazard:
     """p(d) = d ** exponent with exponent > 0 (so p(0) = 0, p(1) = 1)."""
 
     exponent: float
+
+    # no linear pieces, so the fixed point gets no guess and bisects plainly
+    _pieces = ()
+    _fixed_point_margin = math.inf
 
     def __post_init__(self) -> None:
         if not _finite(self.exponent) or self.exponent <= 0:
@@ -262,8 +330,19 @@ class TableHazard:
     is evaluated in pure Python with np.interp's rules and formula, so it
     gets the same value bit for bit; arrays use np.interp itself on the same
     knot coordinates, so the order of scalar and array calls never matters.
-    Inversion is by bisection to BISECT_TOL in value space; the analytic
-    families above invert in closed form instead.
+
+    Inversion is by bisection to BISECT_TOL in value space, guided by the
+    closed form d_j + (v - v_j)/slope_j on the segment that holds v: every
+    step whose midpoint lies more than a margin from it is taken without
+    evaluating the curve, and the result keeps the plain bisection's bits.
+    The curve rises at least s_min (its least slope) per unit of mass, except
+    on the at most 1e-12 of [0, 1] that validation lets the end knots leave
+    uncovered, so the margin is BISECT_TOL / s_min plus rounding and those
+    ends. The analytic families above invert in closed form instead.
+
+    _pieces lists the segments and the flat ends for the consistency fixed
+    point's closed-form guess (see _linear_pieces); that guess is safe
+    within _fixed_point_margin, which grows with the steepest slope.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -290,6 +369,23 @@ class TableHazard:
             (v1 - v0) / (d1 - d0) for (d0, v0), (d1, v1) in zip(self.knots, self.knots[1:])
         )
         object.__setattr__(self, "_slopes", slopes)
+        segments = tuple(
+            (max(d0, 0.0), min(d1, 1.0), d0, s, v0)
+            for (d0, v0), (d1, _), s in zip(self.knots, self.knots[1:], slopes)
+        )
+        pieces = _linear_pieces(self, segments, max(ds[0], 0.0), min(ds[-1], 1.0))
+        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(
+            self, "_fixed_point_margin", BISECT_TOL + _ROUNDING * (1.0 + max(slopes))
+        )
+        object.__setattr__(
+            self,
+            "_inverse_margin",
+            (BISECT_TOL + _ROUNDING) / min(slopes)
+            + _ROUNDING
+            + max(ds[0], 0.0)
+            + max(1.0 - ds[-1], 0.0),
+        )
 
     @property
     def floor(self) -> float:
@@ -320,7 +416,10 @@ class TableHazard:
 
     def inverse(self, v: float) -> float:
         v = _target(v, self.floor, self.ceiling)
-        return _bisect(lambda d: self._eval(d) - v, 0.0, 1.0)[0]
+        vs = self._vs
+        j = min(bisect.bisect_right(vs, v), len(vs) - 1) - 1
+        guess = self._ds[j] + (v - vs[j]) / self._slopes[j]
+        return _bisect(lambda d: self._eval(d) - v, 0.0, 1.0, guess, self._inverse_margin)[0]
 
 
 @dataclass(frozen=True)

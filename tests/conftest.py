@@ -1,19 +1,23 @@
 """Shared game factories for the test suite."""
 
+import contextlib
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import strategies as st
+from hypothesis import reject, strategies as st
 
 from hazardsignal import (
     AffineHazard,
     ConstantReach,
+    CurveError,
     LinearReach,
     PowerHazard,
     SignalingGame,
     TableHazard,
 )
+from hazardsignal import model
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -88,3 +92,61 @@ def table_curves(draw):
     ds[0] = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
     ds[-1] = draw(st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13]))
     return TableHazard(tuple(zip(ds, vs)))
+
+
+@st.composite
+def adversarial_tables(draw):
+    """1-5 segments with slopes anywhere from about 1e-9 to near-vertical
+    (a segment 1e-9 wide with most of the rise), end knots sometimes 1e-13
+    off 0 and 1; draws whose knots collapse in float are rejected."""
+    segments = draw(st.integers(1, 5))
+    exponents = st.floats(-9.0, 0.0)
+    widths = [10.0 ** draw(exponents) for _ in range(segments)]
+    rises = [10.0 ** draw(exponents) for _ in range(segments)]
+    floor = draw(st.floats(0.0, 0.5))
+    span = draw(st.floats(1e-6, 1.0 - floor))
+    ds = [sum(widths[:i]) / sum(widths) for i in range(segments + 1)]
+    vs = [min(floor + span * sum(rises[:i]) / sum(rises), 1.0) for i in range(segments + 1)]
+    ds[0] = draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    ds[-1] = draw(st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13]))
+    try:
+        return TableHazard(tuple(zip(ds, vs)))
+    except CurveError:
+        reject()
+
+
+def knot_targets(curve) -> list[float]:
+    """Inversion targets where a table is hardest: floor, ceiling, every
+    knot and every knot +- 1e-15 .. 1e-12, those inside the range."""
+    out = []
+    for _, v in curve.knots:
+        out.append(v)
+        out += [v + s * e for e in (1e-15, 1e-14, 1e-13, 1e-12) for s in (1.0, -1.0)]
+    return [curve.floor, curve.ceiling] + [v for v in out if curve.floor <= v <= curve.ceiling]
+
+
+@contextlib.contextmanager
+def guided_against_plain(module):
+    """Run every guided bisection that `module` makes a second time without
+    its guess, recording per call the two results and the points at which
+    each evaluated f: (guided, plain, guided_points, plain_points)."""
+    bisect = model._bisect
+    calls = []
+
+    def both(f, lo, hi, guess, margin):
+        guided_points, plain_points = [], []
+
+        def traced(points):
+            return lambda x: points.append(x) or f(x)
+
+        guided = bisect(traced(guided_points), lo, hi, guess, margin)
+        plain = bisect(traced(plain_points), lo, hi)
+        calls.append((guided, plain, guided_points, plain_points))
+        return guided
+
+    with mock.patch.object(module, "_bisect", both):
+        yield calls
+
+
+def same_bits(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    return [v.hex() for v in a] == [v.hex() for v in b]

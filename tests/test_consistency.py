@@ -1,22 +1,36 @@
 """Fixed-point solver, no-signal posterior, and group costs."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hazardsignal import (
     AffineHazard,
     BehaviorProfile,
     ConstantReach,
     DegenerateSignalError,
+    InputError,
+    LinearReach,
+    PowerHazard,
     SignalingGame,
+    TableHazard,
+    consistency,
     group_costs,
     posterior_no_signal,
     solve_profile_P,
 )
 
-from conftest import adoption_backfire_game, random_game
+from conftest import (
+    adoption_backfire_game,
+    adversarial_tables,
+    guided_against_plain,
+    random_game,
+    same_bits,
+    table_curves,
+)
 
 
 def reference_P(game, profile, lo=0.0, hi=1.0, iterations=200):
@@ -98,6 +112,83 @@ class TestSolveProfileP:
             assert res.posterior_no_signal <= res.P + 1e-12
 
 
+@st.composite
+def extreme_affine(draw):
+    """Affine hazards with slopes from 1e-300 up to 1, intercept at either end or between."""
+    slope = min(10.0 ** draw(st.floats(-300.0, 0.0)), 1.0)
+    intercept = draw(st.sampled_from([0.0, 1.0 - slope, 0.5 * (1.0 - slope)]))
+    return AffineHazard(slope, max(intercept, 0.0))
+
+
+def solved_profiles(game, a, b):
+    """The corner profiles the equilibrium solver uses, an interior one, and
+    the unsignaled group's full size with the 1e-9 slack validation allows."""
+    y = game.y
+    return [
+        BehaviorProfile(0.0, 0.0, 0.0),
+        BehaviorProfile(0.0, y, 0.0),
+        BehaviorProfile(1.0 - y, y, 0.0),
+        BehaviorProfile(a * (1.0 - y), b * y, 0.0),
+        BehaviorProfile(1.0 - y + 1e-9, y + 1e-9, 0.0),
+    ]
+
+
+class TestGuidedFixedPoint:
+    """solve_profile_P bisects guided by the closed form on the linear piece
+    that holds its mass; the guess may skip steps, never change a bit."""
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.one_of(table_curves(), adversarial_tables(), extreme_affine(), st.none()),
+        st.sampled_from([None, 0.0, 1.0]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    @example(random.Random(0), AffineHazard(1e-300, 0.5), 1.0, 0.5, 0.5)
+    @example(random.Random(0), TableHazard(((1e-13, 0.1), (1.0 - 1e-13, 1.0))), 1.0, 1.0, 1.0)
+    def test_guided_returns_the_plain_bits(self, rng, hazard, rate, a, b):
+        # random_game's reach, y, r and beta, with the drawn hazard (None keeps
+        # its affine or power one) and signal rate 0, 1 or as drawn
+        game = random_game(rng)
+        if hazard is not None:
+            game = dataclasses.replace(game, hazard=hazard)
+        if rate is not None:
+            game = dataclasses.replace(game, beta=rate, signal_reach=ConstantReach(1.0))
+        with guided_against_plain(consistency) as calls:
+            for profile in solved_profiles(game, a, b):
+                try:
+                    solve_profile_P(game, profile)
+                except DegenerateSignalError:
+                    pass  # raised by the posterior, after the bisection
+        assert len(calls) == 5
+        for guided, plain, guided_points, plain_points in calls:
+            assert same_bits(guided, plain), (game, guided, plain)
+            assert set(guided_points) <= set(plain_points)
+
+    @given(st.randoms(use_true_random=False), st.one_of(table_curves(), st.none()),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_guided_evaluates_a_few_points_of_the_plain_path(self, rng, table, a, b):
+        # a guess that went missing would evaluate the plain path's ~40 points
+        game = random_game(rng)
+        if table is not None:
+            game = dataclasses.replace(game, hazard=table)
+        elif isinstance(game.hazard, PowerHazard):
+            game = dataclasses.replace(game, hazard=AffineHazard(0.5, 0.25))
+        with guided_against_plain(consistency) as calls:
+            for profile in solved_profiles(game, a, b):
+                solve_profile_P(game, profile)
+        for _, _, guided_points, plain_points in calls:
+            assert [x for x in plain_points if x in guided_points] == guided_points
+            assert 1 <= len(guided_points) <= 12
+
+    def test_power_hazard_bisects_plainly(self):
+        game = SignalingGame(0.5, 0.5, 3.0, PowerHazard(2.0), LinearReach(1.0))
+        with guided_against_plain(consistency) as calls:
+            solve_profile_P(game, BehaviorProfile(0.2, 0.5, 0.0))
+        [(guided, plain, guided_points, plain_points)] = calls
+        assert same_bits(guided, plain) and guided_points == plain_points
+
+
 class TestPosterior:
     def test_no_signals_returns_prior(self):
         game = adoption_backfire_game(0.0)
@@ -172,3 +263,50 @@ class TestGroupCosts:
         game = adoption_backfire_game(0.3)
         costs = group_costs(game, P, posterior)
         assert costs.vs_careful < costs.vs_reckless
+
+
+#: (argument, message) for the probability arguments of posterior_no_signal
+#: and group_costs; {what} is the argument's name in the message
+PROBABILITY_ARGUMENTS = [
+    ("0.5", "{what} must be a number, got '0.5'"),
+    (b"0.5", "{what} must be a number, got b'0.5'"),
+    (None, "{what} must be a number, got None"),
+    (0.5j, "{what} must be a number, got 0.5j"),
+    (np.float32(5.0), "{what} must lie in [0, 1], got " + repr(np.float32(5.0))),
+    (np.float32("nan"), "{what} must lie in [0, 1], got " + repr(np.float32("nan"))),
+    (float("nan"), "{what} must lie in [0, 1], got nan"),
+    (10**400, "{what} must lie in [0, 1], got " + repr(10**400)),
+    (-1e-9, "{what} must lie in [0, 1], got -1e-09"),
+]
+PROBABILITY_IDS = ["str", "bytes", "None", "complex", "float32-over", "float32-nan", "nan",
+                   "huge-int", "negative"]
+
+
+class TestProbabilityArguments:
+    """posterior_no_signal and group_costs share one check: a real number of
+    any type is range-checked, and anything else raises InputError."""
+
+    @pytest.mark.parametrize("v, message", PROBABILITY_ARGUMENTS, ids=PROBABILITY_IDS)
+    def test_posterior(self, v, message):
+        with pytest.raises(InputError) as info:
+            posterior_no_signal(adoption_backfire_game(0.5), v)
+        assert str(info.value) == message.format(what="accident probability")
+
+    @pytest.mark.parametrize("v, message", PROBABILITY_ARGUMENTS, ids=PROBABILITY_IDS)
+    @pytest.mark.parametrize("which", ["P", "posterior"])
+    def test_group_costs(self, v, message, which):
+        args = {"P": 0.25, "posterior": 0.25, which: v}
+        with pytest.raises(InputError) as info:
+            group_costs(adoption_backfire_game(0.5), **args)
+        assert str(info.value) == message.format(what=which)
+
+    @pytest.mark.parametrize(
+        "v", [np.float32(0.25), np.float64(0.25), 1.0 + 1e-13, 0, True],
+        ids=["float32", "float64", "overshoot", "int", "bool"],
+    )
+    def test_real_numbers_accepted_as_floats(self, v):
+        game = adoption_backfire_game(0.5)
+        want = min(max(float(v), 0.0), 1.0)
+        assert posterior_no_signal(game, v).hex() == posterior_no_signal(game, want).hex()
+        costs = group_costs(game, v, v)
+        assert dataclasses.astuple(costs) == dataclasses.astuple(group_costs(game, want, want))

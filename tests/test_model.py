@@ -1,6 +1,7 @@
 """Curve families, game validation, and profile bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,18 @@ from hazardsignal import (
     RangeError,
     SignalingGame,
     TableHazard,
+    model,
     validate_game,
     validate_profile,
 )
 
-from conftest import table_curves
+from conftest import (
+    adversarial_tables,
+    guided_against_plain,
+    knot_targets,
+    same_bits,
+    table_curves,
+)
 
 
 @st.composite
@@ -175,6 +183,68 @@ class TestHazardInverse:
         curve = TableHazard(knots)
         got = [curve.inverse(v).hex() for v in (0.05, 0.125, 0.35, 0.6, 0.95)]
         assert got == expected
+
+
+class TestGuidedInverse:
+    """TableHazard.inverse bisects guided by its closed form on the segment
+    that holds the target; the guess may skip steps, never change a bit."""
+
+    @given(st.one_of(table_curves(), adversarial_tables()), st.lists(st.floats(0.0, 1.0), max_size=4))
+    @example(TableHazard(ROUND_TRIP_TABLES[1]), [])
+    @example(TableHazard(((0.0, 0.1), (0.5, 0.1 + 1e-9), (1.0, 0.9))), [0.5])
+    @example(TableHazard(((1e-13, 0.0), (1.0 - 1e-13, 1.0))), [0.0, 1.0])
+    def test_guided_returns_the_plain_bits(self, curve, ts):
+        targets = knot_targets(curve) + [curve.floor + t * (curve.ceiling - curve.floor) for t in ts]
+        with guided_against_plain(model) as calls:
+            for v in targets:
+                curve.inverse(v)
+        assert len(calls) == len(targets)
+        for v, (guided, plain, guided_points, plain_points) in zip(targets, calls):
+            assert same_bits(guided, plain), (curve.knots, v, guided, plain)
+            assert set(guided_points) <= set(plain_points)
+
+    @given(table_curves(), st.floats(0.0, 1.0))
+    @example(TableHazard(ROUND_TRIP_TABLES[0]), 0.5)
+    def test_guided_evaluates_a_few_points_of_the_plain_path(self, curve, t):
+        # a guess that went missing would evaluate the plain path's 30-50 points
+        with guided_against_plain(model) as calls:
+            curve.inverse(curve.floor + t * (curve.ceiling - curve.floor))
+        [(_, _, guided_points, plain_points)] = calls
+        assert [x for x in plain_points if x in guided_points] == guided_points
+        assert 1 <= len(guided_points) <= 12
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [AffineHazard(0.3, 0.1), PowerHazard(3.0), TableHazard(ROUND_TRIP_TABLES[0])],
+    ids=lambda c: type(c).__name__,
+)
+class TestInverseArguments:
+    """Every hazard's inverse checks its target the same way."""
+
+    @pytest.mark.parametrize(
+        "v", ["0.25", b"0.25", None, [0.25], 0.25j], ids=["str", "bytes", "None", "list", "complex"]
+    )
+    def test_non_numbers_rejected(self, curve, v):
+        # refused, not converted: float("0.25") would read it as 0.25
+        with pytest.raises(InputError) as info:
+            curve.inverse(v)
+        assert str(info.value) == f"target probability must be a number, got {v!r}"
+
+    @pytest.mark.parametrize(
+        "v", [10**400, -(10**400), math.nan, np.float32("nan")],
+        ids=["huge-int", "huge-negative-int", "nan", "float32-nan"],
+    )
+    def test_unattainable_numbers_rejected(self, curve, v):
+        with pytest.raises(RangeError, match="^target probability .* outside attainable range"):
+            curve.inverse(v)
+
+    @pytest.mark.parametrize(
+        "v", [np.float64(0.25), np.float32(0.25), Fraction(1, 4)],
+        ids=["float64", "float32", "fraction"],
+    )
+    def test_real_numbers_invert_like_the_float(self, curve, v):
+        assert curve.inverse(v).hex() == curve.inverse(0.25).hex()
 
 
 class TestCurveArguments:
