@@ -27,15 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    BehaviorProfile,
-    InputError,
-    ModelError,
-    SignalingGame,
-    _bisect,
-    _real,
-    validate_profile,
-)
+from .model import BehaviorProfile, InputError, ModelError, SignalingGame, validate_profile
+from .model import _bisect, _real, _show
 
 __all__ = [
     "DegenerateSignalError",
@@ -120,10 +113,10 @@ def _probability(v, what: str) -> float:
     if type(v) is float and 0.0 <= v <= 1.0:
         return v
     if not _real(v):
-        raise InputError(f"{what} must be a number, got {v!r}")
+        raise InputError(f"{what} must be a number, got {_show(v)}")
     # compared before float(), which overflows on a huge int; NaN fails too
     if not -1e-12 <= v <= 1.0 + 1e-12:
-        raise InputError(f"{what} must lie in [0, 1], got {v!r}")
+        raise InputError(f"{what} must lie in [0, 1], got {_show(v)}")
     return min(max(float(v), 0.0), 1.0)
 
 

@@ -8,13 +8,13 @@ where cost can move against beta; there we grid-sample and refine the best
 cell by golden section.
 
 Each distinct beta per game object builds and validates its own
-SignalingGame and calls the equilibrium core (equilibrium._solve) for plain
-numbers: a sweep builds one SweepRecord per beta and the optimizers keep
-only P or S, so no report, profile or cost table is built for a beta they
-discard. The core's tuple is remembered on the caller's game object, keyed
-by beta, so the social optimizer's grid, the endpoints of its refinement and
-the accident rule's endpoints reuse what an earlier call on the same object
-solved, bit for bit.
+SignalingGame and calls the equilibrium core (equilibrium._solve), whose
+values come in SweepRecord's field order, so no report, profile or cost
+table is built for any beta. The one SweepRecord built per beta is
+remembered on the caller's game object, keyed by beta: a repeated sweep
+returns the same record objects, and the social optimizer's grid, the
+endpoints of its refinement and the accident rule's endpoints reuse what an
+earlier call on the same object solved, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import enum
 import math
 import operator
 
-from .model import MAX_GRID_POINTS, InputError, ParameterError, SignalingGame
+from .model import MAX_GRID_POINTS, InputError, SignalingGame, _show
 from .equilibrium import EquilibriumReport, Region, _solve
 # unused here since sweeps call _solve; hsbench/test_hsbench.py traces it under this name
 from .equilibrium import solve_equilibrium  # noqa: F401
@@ -45,9 +45,9 @@ REFINE_BETA_TOL = 1e-6
 
 #: most solved betas one game object remembers. A 101-point sweep, the
 #: social optimizer's grid and its refinement need about 130, and grids of a
-#: few thousand still fit; a MAX_GRID_POINTS sweep would otherwise hold every
-#: solve a second time beside its records, so past the cap betas are solved
-#: and not stored.
+#: few thousand still fit; a MAX_GRID_POINTS sweep would otherwise keep its
+#: million records alive on the game after the caller drops them, so past
+#: the cap betas are solved and not stored.
 _MEMO_CAP = 4096
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -98,17 +98,8 @@ class DesignResult:
 
 
 def with_beta(game: SignalingGame, beta: float) -> SignalingGame:
-    """Same game, different signal quality (revalidated).
-
-    Numbers convert through float(); text, None and anything float() refuses
-    or overflows on raise ParameterError, as the SignalingGame constructor does.
-    """
-    try:
-        if beta is None or isinstance(beta, (str, bytes)):
-            raise TypeError
-        beta = float(beta)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"game parameter beta must be a finite number, got {beta!r}") from None
+    """Same game, different signal quality, checked and converted to a
+    float by the SignalingGame constructor."""
     return SignalingGame(beta, game.y, game.r, game.hazard, game.signal_reach)
 
 
@@ -118,24 +109,22 @@ def sweep_beta(
     """Solve grid_n evenly spaced signal qualities in [lo, hi], in order.
 
     The game's own beta is ignored; each sample is solved independently.
+    Records are remembered on the game, so a repeated sweep returns the
+    same (frozen) record objects.
     """
     if _count(grid_n) < 2:
-        raise InputError(f"sweep needs at least two grid points, got {grid_n!r}")
+        raise InputError(f"sweep needs at least two grid points, got {_show(grid_n)}")
     try:
         ordered = 0.0 <= lo <= hi <= 1.0
     except TypeError:
-        raise InputError(f"sweep range [{lo!r}, {hi!r}] must be two numbers") from None
+        raise InputError(f"sweep range [{_show(lo)}, {_show(hi)}] must be two numbers") from None
     if not ordered:
-        raise InputError(f"sweep range [{lo!r}, {hi!r}] must be ordered within [0, 1]")
-    records = []
-    for beta in _beta_grid(lo, hi, grid_n):
-        region, x_n, x_vu, P, Q, posterior, S = _solve_at(game, beta)
-        records.append(SweepRecord(beta, region, P, S, x_n, x_vu, Q, posterior))
-    return records
+        raise InputError(f"sweep range [{_show(lo)}, {_show(hi)}] must be ordered within [0, 1]")
+    return [_solve_at(game, beta) for beta in _beta_grid(lo, hi, grid_n)]
 
 
-def _solve_at(game: SignalingGame, beta: float) -> tuple:
-    """_solve(with_beta(game, beta)), remembered on this game object.
+def _solve_at(game: SignalingGame, beta: float) -> SweepRecord:
+    """SweepRecord(beta, *_solve(with_beta(game, beta))), remembered on this game object.
 
     The memo lives in the object's __dict__, not in a field, so equal but
     distinct games never share it; copy.copy and pickle carry it along,
@@ -145,12 +134,12 @@ def _solve_at(game: SignalingGame, beta: float) -> tuple:
     raises is not stored, so it raises again next time.
     """
     memo = game.__dict__.setdefault("_beta_solves", {})
-    solved = memo.get(beta)
-    if solved is None:
-        solved = _solve(with_beta(game, beta))
+    record = memo.get(beta)
+    if record is None:
+        record = SweepRecord(beta, *_solve(with_beta(game, beta)))
         if len(memo) < _MEMO_CAP:
-            memo[beta] = solved
-    return solved
+            memo[beta] = record
+    return record
 
 
 def _count(n) -> int:
@@ -158,7 +147,7 @@ def _count(n) -> int:
     try:
         return operator.index(n)
     except TypeError:
-        raise InputError(f"the count of signal qualities must be an integer, got {n!r}") from None
+        raise InputError(f"the count of signal qualities must be an integer, got {_show(n)}") from None
 
 
 def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -166,7 +155,7 @@ def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
     n = _count(n)
     if n > MAX_GRID_POINTS:
         raise InputError(
-            f"a grid of {n!r} signal qualities is over the limit of {MAX_GRID_POINTS} grid points"
+            f"a grid of {_show(n)} signal qualities is over the limit of {MAX_GRID_POINTS} grid points"
         )
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
@@ -177,8 +166,8 @@ def optimal_beta_accidents(game: SignalingGame) -> DesignResult:
     Single-peakedness reduces the search to the endpoints; ties go to
     beta = 0, the cheaper policy.
     """
-    p0 = _solve_at(game, 0.0)[3]
-    p1 = _solve_at(game, 1.0)[3]
+    p0 = _solve_at(game, 0.0).P
+    p1 = _solve_at(game, 1.0).P
     if p0 <= p1:
         return DesignResult(DesignObjective.ACCIDENT_PROBABILITY, 0.0, p0, (p0, p1))
     return DesignResult(DesignObjective.ACCIDENT_PROBABILITY, 1.0, p1, (p0, p1))
@@ -206,7 +195,7 @@ def optimal_beta_social(game: SignalingGame, grid_n: int = 101) -> DesignResult:
     lo = records[max(best_i - 1, 0)].beta
     hi = records[min(best_i + 1, grid_n - 1)].beta
     refined_beta, refined_s = _golden_min(
-        lambda b: _solve_at(game, b)[6],
+        lambda b: _solve_at(game, b).S,
         lo,
         hi,
         REFINE_BETA_TOL,

@@ -17,8 +17,8 @@ conditions can overlap only where their closed forms agree, so the
 classification priority below never changes the reported probability.
 
 solve_equilibrium wraps a private core, _solve, that returns the same
-values as a plain tuple; design's beta sweeps and optimizers call the core
-and build no report, profile or cost table per beta.
+values in design.SweepRecord's field order; design's beta sweeps and
+optimizers call the core and build no report, profile or cost table per beta.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import (
-    BehaviorProfile,
-    ModelError,
-    SignalingGame,
-)
+from .model import BehaviorProfile, ModelError, SignalingGame
 from .consistency import DegenerateSignalError, posterior_no_signal, solve_profile_P
 
 __all__ = [
@@ -80,11 +76,8 @@ def classify_region(game: SignalingGame) -> Region:
     four, so it is returned when none fires.
     """
     # rate, both thresholds and y lie in [0, 1], so every curve argument below does too
-    p = game.hazard._eval
-    rate = game.signal_rate
-    y = game.y
-    t_prior = 1.0 / (1.0 + game.r)
-    t_unsignaled = 1.0 / (1.0 + game.r * (1.0 - rate))
+    p, rate, y = game.hazard._eval, game.signal_rate, game.y
+    t_prior, t_unsignaled = game.t_prior, game.t_unsignaled
     if game.hazard.floor > t_unsignaled:
         return Region.NCVC
     if t_unsignaled <= p((1.0 - rate * t_unsignaled) * y):
@@ -113,7 +106,7 @@ def solve_equilibrium(game: SignalingGame) -> EquilibriumReport:
     distinct profiles with the same aggregate reckless mass are also
     equilibria; the canonical one (V2V group saturated first) is returned.
     """
-    region, x_n, x_vu, P, Q, posterior, s = _solve(game)
+    region, P, s, x_n, x_vu, Q, posterior = _solve(game)
     return EquilibriumReport(
         region=region,
         x_ne=BehaviorProfile(x_n, x_vu, 0.0),
@@ -125,13 +118,14 @@ def solve_equilibrium(game: SignalingGame) -> EquilibriumReport:
 
 
 def _solve(game: SignalingGame) -> tuple[Region, float, float, float, float, float, float]:
-    """solve_equilibrium's values as a plain (region, x_n, x_vu, P, Q, posterior, S) tuple.
+    """solve_equilibrium's values as (region, P, S, x_n, x_vu, Q, posterior).
 
-    design's sweeps and optimizers call this once per beta and keep only
-    the numbers, so no report, profile or GroupCosts is built for a beta
-    they discard. The game itself is still built and validated per beta.
-    S is group_costs' cost table summed in the same operand order, so it
-    matches the report's social_cost bit for bit; x_vs is always 0.
+    That is design.SweepRecord's field order after beta, so design builds
+    each beta's record straight from this tuple and no report, profile or
+    GroupCosts is made for a beta it discards. The game itself is still
+    built and validated per beta. S is group_costs' cost table summed in
+    the same operand order, so it matches the report's social_cost bit for
+    bit; x_vs is always 0.
     """
     region = classify_region(game)
     p, y, r, rate = game.hazard, game.y, game.r, game.signal_rate
@@ -144,7 +138,7 @@ def _solve(game: SignalingGame) -> tuple[Region, float, float, float, float, flo
         if region is Region.NCVC:
             x_n, x_vu, P = 0.0, 0.0, p.floor
         elif region is Region.NCVI:
-            P = 1.0 / (1.0 + r * (1.0 - rate))
+            P = game.t_unsignaled
             share = 1.0 - rate * P
             if share <= 1e-15:
                 # the invariant posterior_no_signal guards, at the same threshold
@@ -154,7 +148,7 @@ def _solve(game: SignalingGame) -> tuple[Region, float, float, float, float, flo
             x_n = 0.0
             x_vu = _bounded(p.inverse(P) / share, 0.0, y, "unsignaled V2V reckless mass", region)
         else:
-            P = 1.0 / (1.0 + r)
+            P = game.t_prior
             x_n = p.inverse(P) - (1.0 - rate * P) * y
             x_n = _bounded(x_n, 0.0, 1.0 - y, "non-V2V reckless mass", region)
             x_vu = y
@@ -170,4 +164,4 @@ def _solve(game: SignalingGame) -> tuple[Region, float, float, float, float, flo
         + (r * Pc) * x_n
         + (1.0 - Q) * ((1.0 - bc) * (y - x_vu) + (r * bc) * x_vu)
     )
-    return region, x_n, x_vu, P, Q, posterior, s
+    return region, P, s, x_n, x_vu, Q, posterior

@@ -7,11 +7,13 @@ penetration y), a display quality beta, a penetration y, and an accident
 cost r > 1. Behavior profiles record the reckless mass in each of the
 three driver groups: non-V2V, unsignaled V2V, and signaled V2V.
 
-All types are immutable and validated at construction, and every operation
-is a pure function, so everything here is safe for concurrent use. The one
-mutable state is the memo of solved signal qualities that design keeps on
-each SignalingGame object: concurrent callers at worst both miss it and
-solve the same beta twice, with identical bits.
+All types are immutable and validated at construction; curves and games
+also store their parameters there as Python floats. Every operation is a
+pure function, so everything here is safe for concurrent use. The only
+mutable state is two caches in instance __dict__s: design's memo of solved
+signal qualities on each SignalingGame, and a TableHazard's numpy knot
+arrays, built on its first array call. Concurrent callers at worst both
+build the same entry, with identical bits.
 
 Curve evaluation accepts scalars or numpy arrays. A Python float argument is
 evaluated in pure Python, without numpy's per-call overhead, because the
@@ -36,6 +38,7 @@ bisection's (x, f(x)), bit for bit.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +57,6 @@ __all__ = [
     "SignalReachCurve",
     "SignalingGame",
     "BehaviorProfile",
-    "validate_game",
     "validate_profile",
 ]
 
@@ -103,13 +105,32 @@ class ParameterError(ModelError):
     """A game parameter violates the model's constraints."""
 
 
-def _finite(x) -> bool:
-    """True for a finite real number; False, not an exception, for text,
-    None and the like, and for an int too large to convert to a float."""
+def _float(x) -> float:
+    """x as a Python float if it is a finite real number of any type (an int,
+    a numpy scalar, a Fraction). Anything else gives nan, which fails every
+    range check: text, None, complex numbers, inf, nan, an int too large for a float."""
+    if type(x) is not float:
+        if not _real(x):
+            return math.nan
+        try:
+            x = float(x)
+        except OverflowError:
+            return math.nan
+    return x if math.isfinite(x) else math.nan
+
+
+def _show(v) -> str:
+    """repr(v) for an error message. Python refuses to print an int of more
+    than 4300 digits, so such an int, alone or in a tuple or list, shows as
+    its size instead."""
     try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
+        return repr(v)
+    except ValueError:
+        if isinstance(v, int):
+            return f"<{'negative ' if v < 0 else ''}int of {v.bit_length()} bits>"
+        if isinstance(v, (tuple, list)):
+            return "(" + ", ".join(map(_show, v)) + ")"
+        return f"<{type(v).__name__} too long to print>"
 
 
 def _unit(x, what: str):
@@ -124,10 +145,10 @@ def _unit(x, what: str):
     if isinstance(x, (int, float)):
         # compared before float(), which overflows on a huge int; NaN fails too
         if not -UNIT_SLACK <= x <= 1.0 + UNIT_SLACK:
-            raise InputError(f"{what} must lie in [0, 1], got {x!r}")
+            raise InputError(f"{what} must lie in [0, 1], got {_show(x)}")
         return min(max(float(x), 0.0), 1.0)
     if x is None or isinstance(x, (str, bytes)):
-        raise InputError(f"{what} must be a number, got {x!r}")
+        raise InputError(f"{what} must be a number, got {_show(x)}")
     import numpy as np
 
     arr = np.asarray(x)
@@ -190,11 +211,11 @@ def _target(v, lo: float, hi: float) -> float:
     Text, None and other non-numbers are refused, not converted.
     """
     if type(v) is not float and not _real(v):
-        raise InputError(f"target probability must be a number, got {v!r}")
+        raise InputError(f"target probability must be a number, got {_show(v)}")
     # compared before float(), which overflows on a huge int; NaN fails too
     if not lo - UNIT_SLACK <= v <= hi + UNIT_SLACK:
         raise RangeError(
-            f"target probability {v!r} outside attainable range [{lo:.12g}, {hi:.12g}]"
+            f"target probability {_show(v)} outside attainable range [{lo:.12g}, {hi:.12g}]"
         )
     return min(max(float(v), lo), hi)
 
@@ -223,23 +244,25 @@ class AffineHazard:
     intercept: float
 
     def __post_init__(self) -> None:
-        if not (_finite(self.slope) and _finite(self.intercept)):
-            raise CurveError("affine hazard parameters must be finite")
-        if self.slope <= 0:
+        slope, intercept = _float(self.slope), _float(self.intercept)
+        if math.isnan(slope) or math.isnan(intercept):
             raise CurveError(
-                f"affine hazard must be strictly increasing (slope > 0), got slope {self.slope!r}"
+                f"affine hazard parameters must be finite numbers, got slope {_show(self.slope)} "
+                f"and intercept {_show(self.intercept)}"
             )
-        if self.intercept < 0:
-            raise CurveError(f"affine hazard needs p(0) >= 0, got intercept {self.intercept!r}")
-        if self.slope + self.intercept > 1.0 + 1e-12:
+        if slope <= 0:
             raise CurveError(
-                f"affine hazard needs p(1) <= 1, got p(1) = {self.slope + self.intercept!r}"
+                f"affine hazard must be strictly increasing (slope > 0), got slope {slope!r}"
             )
-        pieces = _linear_pieces(self, ((0.0, 1.0, 0.0, self.slope, self.intercept),), 0.0, 1.0)
+        if intercept < 0:
+            raise CurveError(f"affine hazard needs p(0) >= 0, got intercept {intercept!r}")
+        if slope + intercept > 1.0 + 1e-12:
+            raise CurveError(f"affine hazard needs p(1) <= 1, got p(1) = {slope + intercept!r}")
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        pieces = _linear_pieces(self, ((0.0, 1.0, 0.0, slope, intercept),), 0.0, 1.0)
         object.__setattr__(self, "_pieces", pieces)
-        object.__setattr__(
-            self, "_fixed_point_margin", BISECT_TOL + _ROUNDING * (1.0 + self.slope)
-        )
+        object.__setattr__(self, "_fixed_point_margin", BISECT_TOL + _ROUNDING * (1.0 + slope))
 
     @property
     def floor(self) -> float:
@@ -271,10 +294,12 @@ class PowerHazard:
     _fixed_point_margin = math.inf
 
     def __post_init__(self) -> None:
-        if not _finite(self.exponent) or self.exponent <= 0:
+        exponent = _float(self.exponent)
+        if not exponent > 0:
             raise CurveError(
-                f"power hazard must be strictly increasing (exponent > 0), got {self.exponent!r}"
+                f"power hazard must be strictly increasing (exponent > 0), got {_show(self.exponent)}"
             )
+        object.__setattr__(self, "exponent", exponent)
 
     @property
     def floor(self) -> float:
@@ -305,7 +330,7 @@ def _float_knots(knots) -> tuple[tuple[float, float], ...]:
         knots = tuple(knots)
     except TypeError:
         raise CurveError(
-            f"hazard table knots must be a sequence of (mass, probability) pairs, got {knots!r}"
+            f"hazard table knots must be a sequence of (mass, probability) pairs, got {_show(knots)}"
         ) from None
     pairs = []
     for knot in knots:
@@ -313,11 +338,12 @@ def _float_knots(knots) -> tuple[tuple[float, float], ...]:
             d, v = knot
         except (TypeError, ValueError):
             raise CurveError(
-                f"hazard table knot {knot!r} is not a (mass, probability) pair"
+                f"hazard table knot {_show(knot)} is not a (mass, probability) pair"
             ) from None
-        if not (_finite(d) and _finite(v)):
-            raise CurveError(f"hazard table knots must be finite numbers, got {knot!r}")
-        pairs.append((float(d), float(v)))
+        d, v = _float(d), _float(v)
+        if math.isnan(d) or math.isnan(v):
+            raise CurveError(f"hazard table knots must be finite numbers, got {_show(knot)}")
+        pairs.append((d, v))
     return tuple(pairs)
 
 
@@ -398,11 +424,18 @@ class TableHazard:
     def __call__(self, d):
         return self._eval(_unit(d, "reckless mass"))
 
+    @functools.cached_property
+    def _knot_arrays(self):
+        # built on the first array call, so the scalar path never imports numpy
+        import numpy as np
+
+        return np.array(self._ds), np.array(self._vs)
+
     def _eval(self, d):
         if type(d) is not float:
             import numpy as np
 
-            out = np.interp(d, self._ds, self._vs)
+            out = np.interp(d, *self._knot_arrays)
             return float(out) if np.ndim(out) == 0 else out
         # np.interp's branches: below the first knot, at or past the last knot,
         # exactly on a knot (no slope, which may be inf), inside a segment
@@ -429,10 +462,12 @@ class LinearReach:
     slope: float
 
     def __post_init__(self) -> None:
-        if not _finite(self.slope) or not 0.0 <= self.slope <= 1.0:
+        slope = _float(self.slope)
+        if not 0.0 <= slope <= 1.0:
             raise CurveError(
-                f"linear reach slope must lie in [0, 1] to keep q inside [0, 1], got {self.slope!r}"
+                f"linear reach slope must lie in [0, 1] to keep q inside [0, 1], got {_show(self.slope)}"
             )
+        object.__setattr__(self, "slope", slope)
 
     def __call__(self, y):
         return self.slope * _unit(y, "penetration")
@@ -445,8 +480,10 @@ class ConstantReach:
     value: float
 
     def __post_init__(self) -> None:
-        if not _finite(self.value) or not 0.0 <= self.value <= 1.0:
-            raise CurveError(f"constant reach must lie in [0, 1], got {self.value!r}")
+        value = _float(self.value)
+        if not 0.0 <= value <= 1.0:
+            raise CurveError(f"constant reach must lie in [0, 1], got {_show(self.value)}")
+        object.__setattr__(self, "value", value)
 
     def __call__(self, y):
         y = _unit(y, "penetration")
@@ -469,11 +506,19 @@ class SignalingGame:
     driver (the designer's control), y the fraction of V2V-equipped cars,
     and r > 1 the expected cost of driving recklessly into an accident.
 
-    design's sweeps and optimizers remember the equilibria they solve for
-    this object, one per distinct beta, in a private memo in the instance
-    __dict__. The memo is not a field: ==, hash, repr, dataclasses.fields
-    and dataclasses.replace ignore it, so an equal game built anew starts
-    with an empty one.
+    The constructor checks every invariant and settles the game's numbers
+    once: beta, y and r are stored as Python floats (any finite real number
+    converts), and so are three derived values that every solver reads
+    rather than recomputes: signal_rate = beta*q(y), the chance an accident
+    is shown to a V2V driver; t_prior = 1/(1+r), the accident belief at
+    which a driver is indifferent; and t_unsignaled = 1/(1+r(1-signal_rate)),
+    the accident probability at which an unsignaled V2V driver's posterior
+    reaches t_prior.
+
+    Neither these nor the memo of solved betas that design keeps in the
+    instance __dict__ are fields: ==, hash, repr, dataclasses.fields and
+    dataclasses.replace ignore them, so replace computes the derived values
+    anew and an equal game built anew starts with an empty memo.
     """
 
     beta: float
@@ -483,12 +528,31 @@ class SignalingGame:
     signal_reach: SignalReachCurve
 
     def __post_init__(self) -> None:
-        validate_game(self)
-
-    @property
-    def signal_rate(self) -> float:
-        """beta * q(y): probability an accident is shown to a V2V driver."""
-        return self.beta * self.signal_reach(self.y)
+        for name in ("beta", "y", "r"):
+            v = _float(getattr(self, name))
+            if math.isnan(v):
+                raise ParameterError(
+                    f"game parameter {name} must be a finite number, "
+                    f"got {_show(getattr(self, name))}"
+                )
+            object.__setattr__(self, name, v)
+        beta, y, r = self.beta, self.y, self.r
+        if not 0.0 <= beta <= 1.0:
+            raise ParameterError(f"signal quality beta must lie in [0, 1], got {beta!r}")
+        if not 0.0 <= y <= 1.0:
+            raise ParameterError(f"V2V penetration y must lie in [0, 1], got {y!r}")
+        if not r > 1.0:
+            raise ParameterError(f"accident cost r must exceed 1, got {r!r}")
+        if not isinstance(self.hazard, HazardCurve):
+            raise CurveError(f"unsupported hazard curve {_show(self.hazard)}")
+        if not isinstance(self.signal_reach, SignalReachCurve):
+            raise CurveError(f"unsupported signal reach curve {_show(self.signal_reach)}")
+        rate = beta * self.signal_reach(y)
+        if not 0.0 <= rate <= 1.0:
+            raise ParameterError(f"derived signal rate beta*q(y) = {rate!r} escapes [0, 1]")
+        object.__setattr__(self, "signal_rate", rate)
+        object.__setattr__(self, "t_prior", 1.0 / (1.0 + r))
+        object.__setattr__(self, "t_unsignaled", 1.0 / (1.0 + r * (1.0 - rate)))
 
 
 @dataclass(frozen=True)
@@ -502,36 +566,10 @@ class BehaviorProfile:
     def __post_init__(self) -> None:
         for name in ("x_n", "x_vu", "x_vs"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not _finite(v) or v < 0:
+            if not isinstance(v, (int, float)) or not _float(v) >= 0:
                 raise InputError(
-                    f"reckless mass {name} must be a finite nonnegative number, got {v!r}"
+                    f"reckless mass {name} must be a finite nonnegative number, got {_show(v)}"
                 )
-
-
-def validate_game(game: SignalingGame) -> SignalingGame:
-    """Check every game invariant; returns the game unchanged if all hold.
-
-    The curves are frozen and validated at their own construction, so only
-    their type and the derived signal rate are checked here.
-    """
-    for name in ("beta", "y", "r"):
-        v = getattr(game, name)
-        if not isinstance(v, (int, float)) or not _finite(v):
-            raise ParameterError(f"game parameter {name} must be a finite number, got {v!r}")
-    if not 0.0 <= game.beta <= 1.0:
-        raise ParameterError(f"signal quality beta must lie in [0, 1], got {game.beta!r}")
-    if not 0.0 <= game.y <= 1.0:
-        raise ParameterError(f"V2V penetration y must lie in [0, 1], got {game.y!r}")
-    if not game.r > 1.0:
-        raise ParameterError(f"accident cost r must exceed 1, got {game.r!r}")
-    if not isinstance(game.hazard, HazardCurve):
-        raise CurveError(f"unsupported hazard curve {game.hazard!r}")
-    if not isinstance(game.signal_reach, SignalReachCurve):
-        raise CurveError(f"unsupported signal reach curve {game.signal_reach!r}")
-    rate = game.beta * game.signal_reach(game.y)
-    if not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"derived signal rate beta*q(y) = {rate!r} escapes [0, 1]")
-    return game
 
 
 def validate_profile(game: SignalingGame, profile: BehaviorProfile) -> BehaviorProfile:

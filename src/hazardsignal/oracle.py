@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import MAX_GRID_POINTS, BehaviorProfile, InputError, SignalingGame, _finite
+from .model import MAX_GRID_POINTS, BehaviorProfile, InputError, SignalingGame, _float, _show
 from .consistency import solve_profile_P
 
 if TYPE_CHECKING:
@@ -91,8 +91,8 @@ def check_equilibrium_conditions(
     action. The scan applies the same implications as bounds on P
     (_member_mask).
     """
-    if not (_finite(eps) and eps >= 0):
-        raise InputError(f"eps must be finite and nonnegative, got {eps!r}")
+    if not _float(eps) >= 0:
+        raise InputError(f"eps must be finite and nonnegative, got {_show(eps)}")
     res = solve_profile_P(game, profile)
     y, x_n, x_vu, x_vs = game.y, profile.x_n, profile.x_vu, profile.x_vs
     gap_n = 1.0 - (1.0 + game.r) * res.P
@@ -150,10 +150,10 @@ def epsilon_equilibria(
     import numpy as np
 
     # an infinite step would put inf * 0 = nan on the lattice; an infinite eps admits everything
-    if not (_finite(eps) and eps > 0):
-        raise InputError(f"eps must be finite and positive, got {eps!r}")
-    if not (_finite(grid_step) and grid_step > 0):
-        raise InputError(f"grid_step must be finite and positive, got {grid_step!r}")
+    if not _float(eps) > 0:
+        raise InputError(f"eps must be finite and positive, got {_show(eps)}")
+    if not _float(grid_step) > 0:
+        raise InputError(f"grid_step must be finite and positive, got {_show(grid_step)}")
     y = game.y
     if 0.0 < y < 1.0 and grid_step > min(y, 1.0 - y) + 1e-12:
         raise InputError(
@@ -329,9 +329,7 @@ def _gap_crossings(
     """
     import numpy as np
 
-    rate = game.signal_rate
-    t_n = 1.0 / (1.0 + game.r)
-    t_vu = 1.0 / (1.0 + game.r * (1.0 - rate))
+    rate, t_n, t_vu = game.signal_rate, game.t_prior, game.t_unsignaled
     moves_n = np.repeat([True, False], [len(xvu_axis), len(xn_axis)])
     t = np.where(moves_n, t_n, t_vu)
     bound = np.where(moves_n, 1.0 - game.y, game.y)

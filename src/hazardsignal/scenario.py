@@ -22,17 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .design import _beta_grid
-from .model import (
-    AffineHazard,
-    ConstantReach,
-    HazardCurve,
-    LinearReach,
-    ModelError,
-    PowerHazard,
-    SignalReachCurve,
-    SignalingGame,
-    TableHazard,
-)
+from .model import AffineHazard, ConstantReach, HazardCurve, LinearReach, ModelError, PowerHazard
+from .model import SignalReachCurve, SignalingGame, TableHazard, _show
 
 __all__ = [
     "ScenarioError",
@@ -73,10 +64,10 @@ class BetaSweep:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lo <= self.hi <= 1.0:
             raise ScenarioError(
-                f"beta sweep range [{self.lo!r}, {self.hi!r}] must be ordered within [0, 1]"
+                f"beta sweep range [{_show(self.lo)}, {_show(self.hi)}] must be ordered within [0, 1]"
             )
         if self.count < 2:
-            raise ScenarioError(f"beta sweep needs at least 2 samples, got {self.count!r}")
+            raise ScenarioError(f"beta sweep needs at least 2 samples, got {_show(self.count)}")
 
     def betas(self) -> list[float]:
         return _beta_grid(self.lo, self.hi, self.count)
@@ -117,13 +108,7 @@ class Scenario:
         return lo, hi, count if grid is None else grid
 
     def game_at(self, beta: float) -> SignalingGame:
-        return SignalingGame(
-            beta=float(beta),
-            y=self.y,
-            r=self.r,
-            hazard=self.hazard,
-            signal_reach=self.signal_reach,
-        )
+        return SignalingGame(beta, self.y, self.r, self.hazard, self.signal_reach)
 
     def canonical_text(self) -> str:
         if isinstance(self.beta, BetaSweep):

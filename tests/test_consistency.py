@@ -276,10 +276,11 @@ PROBABILITY_ARGUMENTS = [
     (np.float32("nan"), "{what} must lie in [0, 1], got " + repr(np.float32("nan"))),
     (float("nan"), "{what} must lie in [0, 1], got nan"),
     (10**400, "{what} must lie in [0, 1], got " + repr(10**400)),
+    (10**5000, "{what} must lie in [0, 1], got <int of 16610 bits>"),
     (-1e-9, "{what} must lie in [0, 1], got -1e-09"),
 ]
 PROBABILITY_IDS = ["str", "bytes", "None", "complex", "float32-over", "float32-nan", "nan",
-                   "huge-int", "negative"]
+                   "huge-int", "5000-digit-int", "negative"]
 
 
 class TestProbabilityArguments:

@@ -174,18 +174,26 @@ class TestSweepBeta:
             sweep_beta(steep_hazard_game(0.5), 5, lo, hi)
 
     @pytest.mark.parametrize(
-        "lo, hi", [(0.7, 0.2), (-0.1, 1), (0, 1.5), (float("nan"), 1), (0, 10**400)],
-        ids=["reversed", "below-0", "above-1", "nan", "huge-int"],
+        "lo, hi",
+        [(0.7, 0.2), (-0.1, 1), (0, 1.5), (float("nan"), 1), (0, 10**400), (0, 10**5000)],
+        ids=["reversed", "below-0", "above-1", "nan", "huge-int", "5000-digit-int"],
     )
     def test_range_out_of_order_or_outside_the_unit_interval(self, lo, hi):
         with pytest.raises(InputError, match=r"must be ordered within \[0, 1\]"):
             sweep_beta(steep_hazard_game(0.5), 5, lo, hi)
 
+    def test_ints_too_long_to_print_shown_by_their_size(self):
+        game = steep_hazard_game(0.5)
+        with pytest.raises(InputError, match=r"^sweep range \[3, <int of 16610 bits>\] must"):
+            sweep_beta(game, 5, 3, 10**5000)
+        with pytest.raises(InputError, match="^a grid of <int of 16610 bits> signal qualities"):
+            sweep_beta(game, 10**5000)
+
 
 class TestWithBeta:
     @pytest.mark.parametrize(
-        "beta", ["0.5", b"0.5", None, [0.5], 10**400],
-        ids=["str", "bytes", "none", "list", "huge-int"],
+        "beta", ["0.5", b"0.5", None, [0.5], 10**400, 10**5000],
+        ids=["str", "bytes", "none", "list", "huge-int", "5000-digit-int"],
     )
     def test_refuses_what_the_constructor_refuses(self, beta):
         game = steep_hazard_game(0.5)
@@ -339,6 +347,14 @@ class TestSolveMemo:
         games_built.clear()
         assert design_bits(game, 101) == cold
         assert games_built == []
+
+    def test_a_second_sweep_returns_the_first_sweeps_records(self, games_built):
+        game = cost_reversal_game(0.5)
+        first = sweep_beta(game, 11)
+        games_built.clear()
+        second = sweep_beta(game, 11)
+        assert games_built == []
+        assert len(second) == 11 and all(a is b for a, b in zip(first, second))
 
     def test_accident_rule_reuses_the_sweep_endpoints(self, games_built):
         game = adoption_backfire_game(0.5)

@@ -1,6 +1,10 @@
 """Region classification, closed-form equilibria, and their invariants."""
 
+import dataclasses
 import random
+from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +14,10 @@ from hazardsignal import (
     ConstantReach,
     DegenerateSignalError,
     LinearReach,
+    PowerHazard,
     Region,
     SignalingGame,
+    TableHazard,
     check_equilibrium_conditions,
     classify_region,
     solve_equilibrium,
@@ -116,6 +122,86 @@ class TestSolveEquilibrium:
         assert classify_region(game) is Region.NCVI
         with pytest.raises(DegenerateSignalError, match="reaches 1 in region NCVI"):
             solve_equilibrium(game)
+
+
+#: one game per row as (beta, y, r, hazard family, its parameters, reach
+#: family, its parameters), covering every region and curve family
+PARAMETER_GAMES = [
+    (0.0, 0.25, 30.0, AffineHazard, (0.5, 0.1), LinearReach, (0.9,)),
+    (1.0, 0.6, 30.0, AffineHazard, (0.5, 0.1), ConstantReach, (0.9,)),
+    (1.0, 0.6, 30.0, PowerHazard, (2.0,), LinearReach, (0.9,)),
+    (0.5, 0.25, 3.0, AffineHazard, (0.75, 0.125), ConstantReach, (0.5,)),
+    (0.5, 0.75, 2.0, PowerHazard, (2.0,), LinearReach, (0.9,)),
+    (0.5, 0.6, 4.0, TableHazard, (((0.0, 0.05), (0.5, 0.25), (1.0, 0.7)),), LinearReach, (1.0,)),
+    (0.0, 0.25, 2.0, AffineHazard, (0.5, 0.1), LinearReach, (0.9,)),
+    (1.0, 0.75, 2.0, AffineHazard, (0.25, 0.125), LinearReach, (0.9,)),
+]
+
+
+def parameter_game(row, convert) -> SignalingGame:
+    """The row's game with convert applied to every number, table knots included."""
+
+    def deep(v):
+        return tuple(map(deep, v)) if isinstance(v, tuple) else convert(v)
+
+    beta, y, r, hazard, hazard_args, reach, reach_args = row
+    return SignalingGame(
+        deep(beta), deep(y), deep(r), hazard(*deep(hazard_args)), reach(*deep(reach_args))
+    )
+
+
+def report_bits(rep) -> tuple:
+    x = rep.x_ne
+    numbers = (x.x_n, x.x_vu, x.x_vs, rep.P, rep.Q, rep.posterior, rep.social_cost)
+    return (rep.region, *map(float.hex, numbers))
+
+
+def stored_numbers(game) -> list:
+    """beta, y, r and every curve parameter as stored, table knots flattened."""
+    out = [game.beta, game.y, game.r]
+    for curve in (game.hazard, game.signal_reach):
+        for field in dataclasses.fields(curve):
+            v = getattr(curve, field.name)
+            out += [c for knot in v for c in knot] if field.name == "knots" else [v]
+    return out
+
+
+class TestParameterTypes:
+    """A game built from numpy scalars or Fractions is the game built from
+    their floats: every parameter is stored as a float, and the report is
+    the same, bit for bit."""
+
+    def test_the_rows_cover_every_region(self):
+        regions = {classify_region(parameter_game(row, float)) for row in PARAMETER_GAMES}
+        assert regions == set(Region)
+
+    @pytest.mark.parametrize("row", PARAMETER_GAMES, ids=lambda row: row[3].__name__)
+    @pytest.mark.parametrize(
+        "convert",
+        [np.float32, Fraction, lambda v: np.int64(v) if float(v).is_integer() else v],
+        ids=["float32", "fraction", "int64"],
+    )
+    def test_report_equals_the_float_games(self, row, convert):
+        game = parameter_game(row, convert)
+        ref = parameter_game(row, lambda v: float(convert(v)))
+        assert all(type(v) is float for v in stored_numbers(game))
+        assert stored_numbers(game) == stored_numbers(ref)
+        rep = solve_equilibrium(game)
+        assert type(rep.P) is float
+        assert report_bits(rep) == report_bits(solve_equilibrium(ref))
+
+    @pytest.mark.parametrize(
+        "hazard, reach",
+        [(AffineHazard(np.float32(0.5), np.float32(0.1)), ConstantReach(np.float32(0.9))),
+         (PowerHazard(np.float32(2.0)), LinearReach(np.float32(0.9)))],
+        ids=["affine-constant", "power-linear"],
+    )
+    def test_float32_curves_in_a_float_game(self, hazard, reach):
+        # curves that kept float32 parameters made an NCVI mass of float32,
+        # which the solver's own BehaviorProfile then refused
+        rep = solve_equilibrium(SignalingGame(1.0, 0.6, 30.0, hazard, reach))
+        assert rep.region is Region.NCVI
+        assert all(type(v) is float for v in (rep.x_ne.x_vu, rep.P, rep.Q, rep.social_cost))
 
 
 class TestAccidentProbability:

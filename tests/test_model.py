@@ -1,6 +1,10 @@
 """Curve families, game validation, and profile bounds."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +24,6 @@ from hazardsignal import (
     SignalingGame,
     TableHazard,
     model,
-    validate_game,
     validate_profile,
 )
 
@@ -28,6 +31,7 @@ from conftest import (
     adversarial_tables,
     guided_against_plain,
     knot_targets,
+    random_game,
     same_bits,
     table_curves,
 )
@@ -232,12 +236,18 @@ class TestInverseArguments:
         assert str(info.value) == f"target probability must be a number, got {v!r}"
 
     @pytest.mark.parametrize(
-        "v", [10**400, -(10**400), math.nan, np.float32("nan")],
-        ids=["huge-int", "huge-negative-int", "nan", "float32-nan"],
+        "v", [10**400, -(10**400), 10**5000, -(10**5000), math.nan, np.float32("nan")],
+        ids=["huge-int", "huge-negative-int", "5000-digit-int", "5000-digit-negative-int", "nan",
+             "float32-nan"],
     )
     def test_unattainable_numbers_rejected(self, curve, v):
         with pytest.raises(RangeError, match="^target probability .* outside attainable range"):
             curve.inverse(v)
+
+    def test_int_too_long_to_print_shown_by_its_size(self, curve):
+        # Python refuses to turn an int of over 4300 digits into text
+        with pytest.raises(RangeError, match="^target probability <negative int of 16610 bits> "):
+            curve.inverse(-(10**5000))
 
     @pytest.mark.parametrize(
         "v", [np.float64(0.25), np.float32(0.25), Fraction(1, 4)],
@@ -276,7 +286,9 @@ class TestCurveArguments:
 
     @every_family
     @pytest.mark.parametrize(
-        "x", [math.nan, math.inf, -math.inf, -1e-8, 1.0 + 1e-8, pytest.param(10**400, id="huge-int")]
+        "x",
+        [math.nan, math.inf, -math.inf, -1e-8, 1.0 + 1e-8, pytest.param(10**400, id="huge-int"),
+         pytest.param(10**5000, id="5000-digit-int")],
     )
     def test_outside_unit_interval_rejected(self, curve, x):
         with pytest.raises(InputError):
@@ -333,10 +345,17 @@ class TestCurveValidation:
          LinearReach, ConstantReach],
         ids=["affine-slope", "affine-intercept", "power", "linear", "constant"],
     )
-    @pytest.mark.parametrize("v", [10**400, "0.5", None], ids=["huge-int", "str", "none"])
-    def test_parameter_that_is_not_a_finite_number(self, make, v):
-        with pytest.raises(CurveError):
+    @pytest.mark.parametrize(
+        "v, shown",
+        [(10**400, repr(10**400)), (10**5000, "<int of 16610 bits>"), ("0.5", "'0.5'"),
+         (None, "None")],
+        ids=["huge-int", "5000-digit-int", "str", "none"],
+    )
+    def test_parameter_that_is_not_a_finite_number(self, make, v, shown):
+        # every family's message names the value it refused
+        with pytest.raises(CurveError) as info:
             make(v)
+        assert shown in str(info.value)
 
     def test_table_invariants(self):
         with pytest.raises(CurveError):
@@ -353,12 +372,14 @@ class TestCurveValidation:
         [
             (((0, 0.1), (10**400, 1)),
              f"hazard table knots must be finite numbers, got ({10**400!r}, 1)"),
+            (((0, 0.1), (10**5000, 1)),
+             "hazard table knots must be finite numbers, got (<int of 16610 bits>, 1)"),
             (((0, "a"), (1, 1)), "hazard table knots must be finite numbers, got (0, 'a')"),
             (((0, 0.1, 5), (1, 1)),
              "hazard table knot (0, 0.1, 5) is not a (mass, probability) pair"),
             (None, "hazard table knots must be a sequence of (mass, probability) pairs, got None"),
         ],
-        ids=["huge-int", "str", "three-element", "none"],
+        ids=["huge-int", "5000-digit-int", "str", "three-element", "none"],
     )
     def test_table_knots_that_are_not_pairs_of_finite_numbers(self, knots, message):
         with pytest.raises(CurveError) as info:
@@ -387,9 +408,11 @@ class TestSignalReach:
 class TestGameValidation:
     def test_valid_game_passes(self):
         game = SignalingGame(
-            beta=1.0, y=0.7, r=20.0, hazard=AffineHazard(0.8, 0.1), signal_reach=LinearReach(0.9)
+            beta=1, y=0.7, r=20, hazard=AffineHazard(0.8, 0.1), signal_reach=LinearReach(0.9)
         )
-        assert validate_game(game) is game
+        assert [(type(v), v) for v in (game.beta, game.y, game.r)] == [
+            (float, 1.0), (float, 0.7), (float, 20.0)
+        ]
 
     def test_r_must_exceed_one(self):
         with pytest.raises(ParameterError):
@@ -404,11 +427,18 @@ class TestGameValidation:
                 beta=beta, y=y, r=2.0, hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9)
             )
 
-    @pytest.mark.parametrize("name", ["beta", "y", "r"])
-    def test_int_too_large_for_a_float_rejected(self, name):
-        params = dict(beta=0.5, y=0.5, r=3.0) | {name: 10**400}
-        with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+    @pytest.mark.parametrize(
+        "name, v, shown",
+        [(name, v, shown)
+         for v, shown in ((10**400, repr(10**400)), (10**5000, "<int of 16610 bits>"))
+         for name in ("beta", "y", "r")],
+        ids=["beta", "y", "r", "beta-5000-digit-int", "y-5000-digit-int", "r-5000-digit-int"],
+    )
+    def test_int_too_large_for_a_float_rejected(self, name, v, shown):
+        params = dict(beta=0.5, y=0.5, r=3.0) | {name: v}
+        with pytest.raises(ParameterError) as info:
             SignalingGame(hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9), **params)
+        assert str(info.value) == f"game parameter {name} must be a finite number, got {shown}"
 
     def test_signal_rate(self):
         game = SignalingGame(
@@ -421,7 +451,48 @@ class TestGameValidation:
         game = SignalingGame(
             beta=beta, y=y, r=r, hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9)
         )
-        assert validate_game(game) is game
+        assert (game.beta, game.y, game.r) == (beta, y, r)
+        assert game.signal_rate == beta * (0.9 * y)
+
+
+def derived_bits(game) -> tuple[list[str], list[str]]:
+    """The stored signal rate and thresholds, and the same from their formulas."""
+    rate = game.beta * game.signal_reach(game.y)
+    formulas = [rate, 1.0 / (1.0 + game.r), 1.0 / (1.0 + game.r * (1.0 - rate))]
+    stored = [game.signal_rate, game.t_prior, game.t_unsignaled]
+    return [v.hex() for v in stored], [v.hex() for v in formulas]
+
+
+class TestDerivedValues:
+    """The constructor stores the signal rate and both thresholds once."""
+
+    def test_stored_values_equal_their_formulas(self):
+        rng = random.Random(1501)
+        for _ in range(300):
+            game = random_game(rng)
+            stored, formulas = derived_bits(game)
+            assert stored == formulas, game
+
+    def test_copies_keep_values_equal_to_their_formulas(self):
+        rng = random.Random(1502)
+        for _ in range(100):
+            game = random_game(rng)
+            for other in (
+                dataclasses.replace(game),
+                dataclasses.replace(game, beta=rng.random(), r=rng.uniform(1.01, 25.0)),
+                dataclasses.replace(game, y=rng.random(), signal_reach=LinearReach(rng.random())),
+                copy.copy(game),
+                pickle.loads(pickle.dumps(game)),
+            ):
+                stored, formulas = derived_bits(other)
+                assert stored == formulas, other
+
+    def test_derived_values_are_not_fields(self):
+        game = SignalingGame(0.5, 0.5, 3.0, AffineHazard(0.3, 0.1), LinearReach(0.9))
+        assert "signal_rate" not in repr(game)
+        assert game == dataclasses.replace(game)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            game.signal_rate = 0.0
 
 
 class TestBehaviorProfile:
@@ -434,6 +505,8 @@ class TestBehaviorProfile:
             BehaviorProfile(math.inf, 0.0)
         with pytest.raises(InputError, match="x_n must be a finite nonnegative number"):
             BehaviorProfile(10**400, 0)
+        with pytest.raises(InputError, match="x_vu must be .* number, got <int of 16610 bits>$"):
+            BehaviorProfile(0, 10**5000)
 
     def test_profile_bounds_against_game(self):
         game = SignalingGame(

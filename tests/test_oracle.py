@@ -79,8 +79,8 @@ class TestConditionCheck:
         assert check.ok
 
     @pytest.mark.parametrize(
-        "eps", [math.inf, math.nan, "1e-3", b"1e-3", None, 10**400],
-        ids=["inf", "nan", "str", "bytes", "none", "huge-int"],
+        "eps", [math.inf, math.nan, "1e-3", b"1e-3", None, 10**400, 10**5000],
+        ids=["inf", "nan", "str", "bytes", "none", "huge-int", "5000-digit-int"],
     )
     def test_non_finite_eps_rejected(self, eps):
         # signaled drivers reckless: fails at any finite eps, so an infinite one must not pass it
@@ -200,10 +200,10 @@ class TestEpsilonEquilibria:
         "grid_step, eps",
         [(math.inf, 1e-3), (0.5, math.inf), (math.nan, 1e-3), (0.5, math.nan),
          (None, 1e-3), (0.5, None), ("0.5", 1e-3), (0.5, "1e-3"), (b"0.5", 1e-3),
-         (10**400, 1e-3), (0.5, 10**400)],
+         (10**400, 1e-3), (0.5, 10**400), (10**5000, 1e-3), (0.5, 10**5000)],
         ids=["step-inf", "eps-inf", "step-nan", "eps-nan",
              "step-none", "eps-none", "step-str", "eps-str", "step-bytes",
-             "step-huge-int", "eps-huge-int"],
+             "step-huge-int", "eps-huge-int", "step-5000-digit-int", "eps-5000-digit-int"],
     )
     def test_non_finite_parameters_rejected(self, grid_step, eps):
         # y = 0 admits any step, so only finiteness stands between inf and a
@@ -361,8 +361,8 @@ class TestOracleVerdict:
     @pytest.mark.parametrize(
         "grid_step, eps, what",
         [(0.05, "1e-3", "eps"), (None, 1e-3, "grid_step"), (math.inf, 1e-3, "grid_step"),
-         (10**400, 1e-3, "grid_step")],
-        ids=["eps-str", "step-none", "step-inf", "step-huge-int"],
+         (10**400, 1e-3, "grid_step"), (10**5000, 1e-3, "grid_step")],
+        ids=["eps-str", "step-none", "step-inf", "step-huge-int", "step-5000-digit-int"],
     )
     def test_parameters_checked_as_the_scan_checks_them(self, grid_step, eps, what):
         game = self.scenario_game()

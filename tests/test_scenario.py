@@ -95,6 +95,10 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="integer"):
             parse_scenario(BASIC.replace("beta = 1", "beta = sweep(0, 1, 2.5)"))
 
+    def test_sweep_bound_too_long_to_print_shown_by_its_size(self):
+        with pytest.raises(ScenarioError, match=r"^beta sweep range \[0, <int of 16610 bits>\] "):
+            BetaSweep(0, 10**5000, 5)
+
     @pytest.mark.parametrize("count", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_sweep_count(self, count):
         with pytest.raises(ScenarioError, match="must be an integer"):
