@@ -20,6 +20,9 @@ F(P) = P - p(x_n + (1 - P·beta·q(y))·x_vu) rises at least as fast as P, so
 BISECT_TOL plus rounding the plain step's move is certain and is taken
 without evaluating p. P and the residual keep the plain bisection's bits.
 Power hazards get no guess and bisect plainly.
+
+posterior_no_signal and group_costs take any real probability within
+1e-12 of [0, 1] as a clamped Python float (model._number).
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BehaviorProfile, InputError, ModelError, SignalingGame, validate_profile
-from .model import _bisect, _real, _show
+from .model import BehaviorProfile, ModelError, SignalingGame, validate_profile
+from .model import _bisect, _number
 
 __all__ = [
     "DegenerateSignalError",
@@ -38,6 +41,9 @@ __all__ = [
     "posterior_no_signal",
     "group_costs",
 ]
+
+#: tolerated floating overshoot of a probability argument outside [0, 1]
+_PROBABILITY_SLACK = 1e-12
 
 
 class DegenerateSignalError(ModelError):
@@ -104,22 +110,6 @@ def solve_profile_P(game: SignalingGame, profile: BehaviorProfile) -> Consistenc
     )
 
 
-def _probability(v, what: str) -> float:
-    """v as a float in [0, 1], clamping overshoot of up to 1e-12.
-
-    Any real number is range-checked, and anything else (text, None, a
-    complex number) raises InputError rather than being converted.
-    """
-    if type(v) is float and 0.0 <= v <= 1.0:
-        return v
-    if not _real(v):
-        raise InputError(f"{what} must be a number, got {_show(v)}")
-    # compared before float(), which overflows on a huge int; NaN fails too
-    if not -1e-12 <= v <= 1.0 + 1e-12:
-        raise InputError(f"{what} must lie in [0, 1], got {_show(v)}")
-    return min(max(float(v), 0.0), 1.0)
-
-
 def posterior_no_signal(game: SignalingGame, P: float) -> float:
     """P(accident | no warning shown) = P(1 - beta*q) / (1 - P*beta*q).
 
@@ -128,7 +118,7 @@ def posterior_no_signal(game: SignalingGame, P: float) -> float:
     1/(1 + r(1 - beta*q)). Never exceeds the prior P: silence is weakly
     good news.
     """
-    P = _probability(P, "accident probability")
+    P = _number(P, "accident probability", 0.0, 1.0, _PROBABILITY_SLACK)
     rate = game.signal_rate
     denom = 1.0 - P * rate
     if denom <= 1e-15:
@@ -146,8 +136,8 @@ def group_costs(game: SignalingGame, P: float, posterior: float) -> GroupCosts:
     their accident belief. Signaled drivers know the accident is real, so
     caution is free and recklessness costs the full r.
     """
-    P = _probability(P, "P")
-    posterior = _probability(posterior, "posterior")
+    P = _number(P, "P", 0.0, 1.0, _PROBABILITY_SLACK)
+    posterior = _number(posterior, "posterior", 0.0, 1.0, _PROBABILITY_SLACK)
     return GroupCosts(
         n_careful=1.0 - P,
         n_reckless=game.r * P,

@@ -24,7 +24,7 @@ import enum
 import math
 import operator
 
-from .model import MAX_GRID_POINTS, InputError, SignalingGame, _show
+from .model import MAX_GRID_POINTS, InputError, SignalingGame, _float, _real, _show
 from .equilibrium import EquilibriumReport, Region, _solve
 # unused here since sweeps call _solve; hsbench/test_hsbench.py traces it under this name
 from .equilibrium import solve_equilibrium  # noqa: F401
@@ -112,15 +112,20 @@ def sweep_beta(
     Records are remembered on the game, so a repeated sweep returns the
     same (frozen) record objects.
     """
-    if _count(grid_n) < 2:
+    n = _count(grid_n)
+    if n < 2:
         raise InputError(f"sweep needs at least two grid points, got {_show(grid_n)}")
-    try:
-        ordered = 0.0 <= lo <= hi <= 1.0
-    except TypeError:
-        raise InputError(f"sweep range [{_show(lo)}, {_show(hi)}] must be two numbers") from None
-    if not ordered:
-        raise InputError(f"sweep range [{_show(lo)}, {_show(hi)}] must be ordered within [0, 1]")
-    return [_solve_at(game, beta) for beta in _beta_grid(lo, hi, grid_n)]
+    lo, hi = _sweep_range(lo, hi, "sweep range", InputError)
+    return [_solve_at(game, beta) for beta in _beta_grid(lo, hi, n)]
+
+
+def _sweep_range(lo, hi, what: str, error) -> tuple[float, float]:
+    """lo and hi as Python floats with 0 <= lo <= hi <= 1, else error naming them as what."""
+    flo, fhi = _float(lo), _float(hi)
+    if not 0.0 <= flo <= fhi <= 1.0:
+        must = "be ordered within [0, 1]" if _real(lo) and _real(hi) else "be two numbers"
+        raise error(f"{what} [{_show(lo)}, {_show(hi)}] must {must}")
+    return flo, fhi
 
 
 def _solve_at(game: SignalingGame, beta: float) -> SweepRecord:
@@ -142,17 +147,16 @@ def _solve_at(game: SignalingGame, beta: float) -> SweepRecord:
     return record
 
 
-def _count(n) -> int:
-    """n as an int; InputError, not TypeError, for anything but an integer."""
+def _count(n, what: str = "the count of signal qualities", error=InputError) -> int:
+    """n as an int; error, not TypeError, for anything but an integer."""
     try:
         return operator.index(n)
     except TypeError:
-        raise InputError(f"the count of signal qualities must be an integer, got {_show(n)}") from None
+        raise error(f"{what} must be an integer, got {_show(n)}") from None
 
 
 def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced signal qualities from lo to hi inclusive."""
-    n = _count(n)
     if n > MAX_GRID_POINTS:
         raise InputError(
             f"a grid of {_show(n)} signal qualities is over the limit of {MAX_GRID_POINTS} grid points"

@@ -21,13 +21,14 @@ scalar solvers call curves tens of times per solve; a table curve's scalar
 path reproduces np.interp bit for bit, and arrays go through numpy. numpy
 is imported only by those array branches, so scalar work never loads it.
 
-Arguments are checked once, at the boundary: a curve's __call__ runs
-_unit, which refuses anything that is not a number (or an array of them)
-in [0, 1] and clamps float overshoot, then hands the result to the
-family's _eval. _eval checks nothing. The package's inner loops (the
+Numbers follow one rule where they enter the package: any finite real
+(int, bool, float, numpy scalar, Fraction) converts once to a Python float
+through _float, anything else is refused, not converted, and _number adds
+a range check that clamps overshoot (UNIT_SLACK for curve arguments and
+inverse targets, 1e-12 for probabilities). A curve's __call__ runs _unit,
+then the family's _eval, which checks nothing; the inner loops (the
 fixed-point bisection, the table inverse, region classification and the
-oracle's sign tests) keep their own arguments in [0, 1] and call _eval
-directly, so no loop step pays for the check.
+oracle's sign tests) call _eval directly, so no loop step pays for a check.
 
 Both scalar bisections (the table inverse and the consistency fixed point)
 are guided by a closed-form guess of their root. The guess only lets
@@ -40,6 +41,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -105,6 +107,12 @@ class ParameterError(ModelError):
     """A game parameter violates the model's constraints."""
 
 
+def _real(x) -> bool:
+    """True for a real number of any type: int, bool, float, a numpy scalar,
+    a Fraction. False for text, None, complex numbers and arrays."""
+    return isinstance(x, numbers.Real)
+
+
 def _float(x) -> float:
     """x as a Python float if it is a finite real number of any type (an int,
     a numpy scalar, a Fraction). Anything else gives nan, which fails every
@@ -117,6 +125,23 @@ def _float(x) -> float:
         except OverflowError:
             return math.nan
     return x if math.isfinite(x) else math.nan
+
+
+def _number(x, what: str, lo: float, hi: float, slack: float, error=InputError) -> float:
+    """x as a Python float in [lo, hi], clamping overshoot of up to slack.
+
+    The range is checked on _float(x), so every real type passes as its
+    float does (a huge int as nan). Out of range raises error; a non-number
+    raises InputError.
+    """
+    if type(x) is float and lo <= x <= hi:
+        return x
+    v = _float(x)
+    if not lo - slack <= v <= hi + slack:
+        if not _real(x):
+            raise InputError(f"{what} must be a number, got {_show(x)}")
+        raise error(f"{what} must lie in [{lo:.12g}, {hi:.12g}], got {_show(x)}")
+    return min(max(v, lo), hi)
 
 
 def _show(v) -> str:
@@ -136,19 +161,13 @@ def _show(v) -> str:
 def _unit(x, what: str):
     """Validate x in [0, 1] (scalar or array), clamping float overshoot.
 
-    The one argument check in front of a curve: a number, or an array of
-    booleans, integers or floats. Text, None and object arrays are refused,
-    not converted.
+    A number, text or None goes through _number; anything else must be an
+    array of booleans, integers or floats. Object and text arrays are refused.
     """
     if type(x) is float and 0.0 <= x <= 1.0:
         return x
-    if isinstance(x, (int, float)):
-        # compared before float(), which overflows on a huge int; NaN fails too
-        if not -UNIT_SLACK <= x <= 1.0 + UNIT_SLACK:
-            raise InputError(f"{what} must lie in [0, 1], got {_show(x)}")
-        return min(max(float(x), 0.0), 1.0)
-    if x is None or isinstance(x, (str, bytes)):
-        raise InputError(f"{what} must be a number, got {_show(x)}")
+    if _real(x) or x is None or isinstance(x, (str, bytes)):
+        return _number(x, what, 0.0, 1.0, UNIT_SLACK)
     import numpy as np
 
     arr = np.asarray(x)
@@ -195,29 +214,6 @@ def _bisect(
         else:
             lo = x
     return x, fx
-
-
-def _real(x) -> bool:
-    """True for a real number of any type: int, float, a numpy scalar, a
-    Fraction. False for text, None, complex numbers and arrays."""
-    import numbers
-
-    return isinstance(x, numbers.Real)
-
-
-def _target(v, lo: float, hi: float) -> float:
-    """Validate an inversion target against the curve's attainable range.
-
-    Text, None and other non-numbers are refused, not converted.
-    """
-    if type(v) is not float and not _real(v):
-        raise InputError(f"target probability must be a number, got {_show(v)}")
-    # compared before float(), which overflows on a huge int; NaN fails too
-    if not lo - UNIT_SLACK <= v <= hi + UNIT_SLACK:
-        raise RangeError(
-            f"target probability {_show(v)} outside attainable range [{lo:.12g}, {hi:.12g}]"
-        )
-    return min(max(float(v), lo), hi)
 
 
 def _linear_pieces(hazard, segments, first: float, last: float) -> tuple:
@@ -279,7 +275,7 @@ class AffineHazard:
         return self.slope * d + self.intercept
 
     def inverse(self, v: float) -> float:
-        v = _target(v, self.floor, self.ceiling)
+        v = _number(v, "target probability", self.floor, self.ceiling, UNIT_SLACK, RangeError)
         return min(max((v - self.intercept) / self.slope, 0.0), 1.0)
 
 
@@ -316,7 +312,7 @@ class PowerHazard:
         return d ** self.exponent
 
     def inverse(self, v: float) -> float:
-        v = _target(v, 0.0, 1.0)
+        v = _number(v, "target probability", 0.0, 1.0, UNIT_SLACK, RangeError)
         return min(max(v ** (1.0 / self.exponent), 0.0), 1.0)
 
 
@@ -364,7 +360,11 @@ class TableHazard:
     The curve rises at least s_min (its least slope) per unit of mass, except
     on the at most 1e-12 of [0, 1] that validation lets the end knots leave
     uncovered, so the margin is BISECT_TOL / s_min plus rounding and those
-    ends. The analytic families above invert in closed form instead.
+    ends. Where the guess's own segment holds the margin BISECT_TOL / slope_j
+    (plus rounding) on both sides, or [0, 1] ends within it, that segment's
+    margin is used instead: a steep segment next to a shallow one would
+    otherwise evaluate every midpoint of a wide margin. The analytic
+    families above invert in closed form instead.
 
     _pieces lists the segments and the flat ends for the consistency fixed
     point's closed-form guess (see _linear_pieces); that guess is safe
@@ -412,6 +412,9 @@ class TableHazard:
             + max(ds[0], 0.0)
             + max(1.0 - ds[-1], 0.0),
         )
+        object.__setattr__(
+            self, "_segment_margins", tuple((BISECT_TOL + _ROUNDING) / s + _ROUNDING for s in slopes)
+        )
 
     @property
     def floor(self) -> float:
@@ -448,11 +451,19 @@ class TableHazard:
         return self._slopes[j] * (d - ds[j]) + self._vs[j]
 
     def inverse(self, v: float) -> float:
-        v = _target(v, self.floor, self.ceiling)
+        v = _number(v, "target probability", self.floor, self.ceiling, UNIT_SLACK, RangeError)
         vs = self._vs
         j = min(bisect.bisect_right(vs, v), len(vs) - 1) - 1
-        guess = self._ds[j] + (v - vs[j]) / self._slopes[j]
-        return _bisect(lambda d: self._eval(d) - v, 0.0, 1.0, guess, self._inverse_margin)[0]
+        ds = self._ds
+        guess = ds[j] + (v - vs[j]) / self._slopes[j]
+        margin = self._segment_margins[j]
+        below, above = guess - margin, guess + margin
+        if not (
+            (below - _ROUNDING >= ds[j] or below <= 0.0)
+            and (above + _ROUNDING <= ds[j + 1] or above >= 1.0)
+        ):
+            margin = self._inverse_margin
+        return _bisect(lambda d: self._eval(d) - v, 0.0, 1.0, guess, margin)[0]
 
 
 @dataclass(frozen=True)
@@ -557,7 +568,8 @@ class SignalingGame:
 
 @dataclass(frozen=True)
 class BehaviorProfile:
-    """Reckless mass in each group: non-V2V, unsignaled V2V, signaled V2V."""
+    """Reckless mass in each group: non-V2V, unsignaled V2V, signaled V2V,
+    each stored as a Python float."""
 
     x_n: float
     x_vu: float
@@ -565,11 +577,13 @@ class BehaviorProfile:
 
     def __post_init__(self) -> None:
         for name in ("x_n", "x_vu", "x_vs"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not _float(v) >= 0:
+            v = _float(getattr(self, name))
+            if not v >= 0:
                 raise InputError(
-                    f"reckless mass {name} must be a finite nonnegative number, got {_show(v)}"
+                    f"reckless mass {name} must be a finite nonnegative number, "
+                    f"got {_show(getattr(self, name))}"
                 )
+            object.__setattr__(self, name, v)
 
 
 def validate_profile(game: SignalingGame, profile: BehaviorProfile) -> BehaviorProfile:

@@ -91,8 +91,10 @@ def check_equilibrium_conditions(
     action. The scan applies the same implications as bounds on P
     (_member_mask).
     """
-    if not _float(eps) >= 0:
+    tol = _float(eps)
+    if not tol >= 0:
         raise InputError(f"eps must be finite and nonnegative, got {_show(eps)}")
+    eps = tol
     res = solve_profile_P(game, profile)
     y, x_n, x_vu, x_vs = game.y, profile.x_n, profile.x_vu, profile.x_vs
     gap_n = 1.0 - (1.0 + game.r) * res.P
@@ -150,10 +152,12 @@ def epsilon_equilibria(
     import numpy as np
 
     # an infinite step would put inf * 0 = nan on the lattice; an infinite eps admits everything
-    if not _float(eps) > 0:
+    step, tol = _float(grid_step), _float(eps)
+    if not tol > 0:
         raise InputError(f"eps must be finite and positive, got {_show(eps)}")
-    if not _float(grid_step) > 0:
+    if not step > 0:
         raise InputError(f"grid_step must be finite and positive, got {_show(grid_step)}")
+    grid_step, eps = step, tol
     y = game.y
     if 0.0 < y < 1.0 and grid_step > min(y, 1.0 - y) + 1e-12:
         raise InputError(
@@ -208,7 +212,8 @@ def oracle_verdict(
     Each member's P and Q come from its own fixed-point solve, not from the
     claim, so the claim is only ever compared against.
     """
-    members = epsilon_equilibria(game, grid_step, eps).members
+    found = epsilon_equilibria(game, grid_step, eps)
+    members, grid_step = found.members, found.grid_step
     if not members:
         return OracleVerdict(members, math.nan, math.nan, "empty")
     star_mass = claim.x_ne.x_n + (1.0 - claim.Q) * claim.x_ne.x_vu

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .design import _beta_grid
+from .design import _beta_grid, _count, _sweep_range
 from .model import AffineHazard, ConstantReach, HazardCurve, LinearReach, ModelError, PowerHazard
 from .model import SignalReachCurve, SignalingGame, TableHazard, _show
 
@@ -55,19 +55,20 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class BetaSweep:
-    """Evenly spaced signal qualities lo..hi inclusive."""
+    """Evenly spaced signal qualities lo..hi inclusive (stored as floats and an int)."""
 
     lo: float
     hi: float
     count: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
-            raise ScenarioError(
-                f"beta sweep range [{_show(self.lo)}, {_show(self.hi)}] must be ordered within [0, 1]"
-            )
-        if self.count < 2:
+        lo, hi = _sweep_range(self.lo, self.hi, "beta sweep range", ScenarioError)
+        count = _count(self.count, "beta sweep count", ScenarioError)
+        if count < 2:
             raise ScenarioError(f"beta sweep needs at least 2 samples, got {_show(self.count)}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "count", count)
 
     def betas(self) -> list[float]:
         return _beta_grid(self.lo, self.hi, self.count)

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,8 +167,8 @@ class TestSweepBeta:
 
     @pytest.mark.parametrize(
         "lo, hi",
-        [("0", 1), (0, "1"), (b"0", 1), (None, 1), (0, None)],
-        ids=["lo-str", "hi-str", "lo-bytes", "lo-none", "hi-none"],
+        [("0", 1), (0, "1"), (b"0", 1), (None, 1), (0, None), (np.array([0, 0.1]), 1)],
+        ids=["lo-str", "hi-str", "lo-bytes", "lo-none", "hi-none", "lo-array"],
     )
     def test_range_must_be_numbers(self, lo, hi):
         with pytest.raises(InputError, match=r"sweep range \[.*\] must be two numbers"):

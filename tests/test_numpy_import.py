@@ -1,8 +1,9 @@
 """numpy is loaded only by array work.
 
 Each check runs in a fresh interpreter, because this test process has numpy
-loaded already. Importing the package and running the scalar subcommands
-must leave numpy out of sys.modules; the oracle and array curve calls load it.
+loaded already. Importing the package, running the scalar subcommands and
+calling the scalar entry points with Fraction and int arguments must leave
+numpy out of sys.modules; the oracle and array curve calls load it.
 """
 
 import json
@@ -53,6 +54,11 @@ def test_scalar_subcommands_leave_numpy_unloaded(command):
     ]
     assert len(invocations) == 4
     assert not numpy_loaded(run_cli(*invocations))
+
+
+def test_fraction_and_int_arguments_leave_numpy_unloaded():
+    # curve calls, an inverse, posterior_no_signal, a profile's fixed point and a sweep
+    assert not numpy_loaded((REPO_ROOT / "tests" / "scalar_calls.py").read_text(encoding="utf-8"))
 
 
 def test_rejected_text_leaves_numpy_unloaded():

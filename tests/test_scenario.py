@@ -99,6 +99,19 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match=r"^beta sweep range \[0, <int of 16610 bits>\] "):
             BetaSweep(0, 10**5000, 5)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [("0", 1), (0, b"1"), (None, 1), (0, [1])], ids=["str", "bytes", "None", "list"]
+    )
+    def test_sweep_bounds_that_are_not_numbers(self, lo, hi):
+        with pytest.raises(ScenarioError, match=r"^beta sweep range \[.*\] must be two numbers$"):
+            BetaSweep(lo, hi, 3)
+
+    @pytest.mark.parametrize("count", [2.5, 11.0, "3", None], ids=["2.5", "float-11", "str", "None"])
+    def test_sweep_count_that_is_not_an_integer(self, count):
+        # refused when the sweep is built, not later when its betas are listed
+        with pytest.raises(ScenarioError, match="^beta sweep count must be an integer, got "):
+            BetaSweep(0, 1, count)
+
     @pytest.mark.parametrize("count", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_sweep_count(self, count):
         with pytest.raises(ScenarioError, match="must be an integer"):
