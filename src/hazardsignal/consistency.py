@@ -11,15 +11,23 @@ whose left side rises from p(0) to p(1) while the right side is
 nonincreasing in P, so the solution is unique and bisection converges
 unconditionally.
 
-Where p is linear on a piece (an affine hazard, a table segment) the fixed
-point has a closed form, P = (s(x_n + x_vu - d_j) + v_j) / (1 + s·beta·q(y)·x_vu)
-for the piece p(d) = s(d - d_j) + v_j, valid when its mass lies on the
-piece. The bisection is guided by it rather than replaced: the gap
-F(P) = P - p(x_n + (1 - P·beta·q(y))·x_vu) rises at least as fast as P, so
-|F(P)| >= |P - P*|, and at a midpoint farther from the guess than
-BISECT_TOL plus rounding the plain step's move is certain and is taken
-without evaluating p. P and the residual keep the plain bisection's bits.
-Power hazards get no guess and bisect plainly.
+The bisection is guided by a guess of the root rather than replaced. The
+gap F(P) = P - p(x_n + (1 - P·beta·q(y))·x_vu) rises at least as fast as P,
+so |F(P)| >= |P - P*|, and at a midpoint farther from the guess than the
+hazard's margin the plain step's move is certain and is taken without
+evaluating p. P and the residual keep the plain bisection's bits. Each
+hazard family supplies (guess, margin) through its _fixed_point_guess:
+
+- where p is linear on a piece (an affine hazard, a table segment) the
+  fixed point has a closed form,
+  P = (s(x_n + x_vu - d_j) + v_j) / (1 + s·beta·q(y)·x_vu) for the piece
+  p(d) = s(d - d_j) + v_j, valid when its mass lies on the piece, and the
+  margin is BISECT_TOL plus rounding that grows with the steepest slope;
+- a power hazard d**k has no closed form, so a few safeguarded Newton steps
+  on F give the guess, and the margin is BISECT_TOL + 2E + |F(guess)|,
+  where E = _ROUNDING·(3 + k·(3 + beta·q/(1 - beta·q))) bounds the rounding
+  of one evaluation of F. At beta·q(y) = 1, or where E exceeds 1e-3, the
+  guess is skipped and the bisection runs plainly.
 
 posterior_no_signal and group_costs take any real probability within
 1e-12 of [0, 1] as a clamped Python float (model._number).
@@ -27,7 +35,6 @@ posterior_no_signal and group_costs take any real probability within
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import BehaviorProfile, ModelError, SignalingGame, validate_profile
@@ -94,14 +101,8 @@ def solve_profile_P(game: SignalingGame, profile: BehaviorProfile) -> Consistenc
         arg = x_n + (1.0 - P * rate) * x_vu
         return P - hazard._eval(min(max(arg, 0.0), 1.0))
 
-    # the closed form on the first linear piece that holds its own mass
-    guess = math.nan
-    for first, last, d, s, v in hazard._pieces:
-        P = (s * (x_n + x_vu - d) + v) / (1.0 + s * rate * x_vu)
-        if first <= x_n + (1.0 - P * rate) * x_vu <= last:
-            guess = P
-            break
-    P, g = _bisect(gap, hazard.floor, hazard.ceiling, guess, hazard._fixed_point_margin)
+    guess, margin = hazard._fixed_point_guess(x_n, x_vu, rate)
+    P, g = _bisect(gap, hazard.floor, hazard.ceiling, guess, margin)
     return ConsistencyResult(
         P=P,
         Q=P * rate,

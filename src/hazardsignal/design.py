@@ -245,11 +245,25 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 def single_peaked(values, tol: float = 1e-9) -> bool:
     """True when the sequence rises to its maximum and falls afterwards,
-    allowing tol of slack per comparison."""
-    values = list(values)
-    if len(values) < 2:
+    allowing tol of slack per comparison.
+
+    values and tol may be any finite real numbers; anything else raises
+    InputError.
+    """
+    slack = _float(tol)
+    if math.isnan(slack):
+        raise InputError(f"tol must be a finite number, got {_show(tol)}")
+    try:
+        given = list(values)
+    except TypeError:
+        raise InputError(f"values must be a sequence of numbers, got {_show(values)}") from None
+    xs = list(map(_float, given))
+    for x, v in zip(xs, given):
+        if math.isnan(x):
+            raise InputError(f"values must be finite numbers, got {_show(v)}")
+    if len(xs) < 2:
         return True
-    peak = max(range(len(values)), key=values.__getitem__)
-    rising = all(values[i + 1] >= values[i] - tol for i in range(peak))
-    falling = all(values[i + 1] <= values[i] + tol for i in range(peak, len(values) - 1))
+    peak = max(range(len(xs)), key=xs.__getitem__)
+    rising = all(xs[i + 1] >= xs[i] - slack for i in range(peak))
+    falling = all(xs[i + 1] <= xs[i] + slack for i in range(peak, len(xs) - 1))
     return rising and falling

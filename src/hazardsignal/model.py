@@ -31,9 +31,16 @@ fixed-point bisection, the table inverse, region classification and the
 oracle's sign tests) call _eval directly, so no loop step pays for a check.
 
 Both scalar bisections (the table inverse and the consistency fixed point)
-are guided by a closed-form guess of their root. The guess only lets
-_bisect skip the steps whose outcome is certain; it still returns the plain
-bisection's (x, f(x)), bit for bit.
+are guided by a guess of their root and a margin around it. The guess only
+lets _bisect skip the steps whose outcome is certain; it still returns the
+plain bisection's (x, f(x)), bit for bit. Each hazard's _fixed_point_guess
+gives the fixed point's (guess, margin): affine and table hazards solve the
+linear piece that holds the mass in closed form, and a power hazard takes a
+few safeguarded Newton steps. The power margin is BISECT_TOL + 2E plus the
+guess's own gap, where E = _ROUNDING·(3 + k·(3 + rate/(1 - rate))) bounds
+the rounding of one gap evaluation for exponent k and signal rate
+rate = beta·q(y); at rate = 1, or where E exceeds 1e-3, there is no guess
+and the fixed point bisects plainly.
 """
 
 from __future__ import annotations
@@ -82,6 +89,14 @@ MAX_ITERATIONS = 200
 #: the few ulp (per unit of the steepest slope) that a curve evaluation, its
 #: clamped argument and a closed-form guess may each be off by
 _ROUNDING = 64.0 * math.ulp(1.0)
+
+#: most Newton steps of a power hazard's fixed-point guess; on the benchmark's
+#: pools it takes about two on average and seldom reaches this cap
+_NEWTON_STEPS = 8
+
+#: largest rounding bound E at which a power hazard's fixed point is guided;
+#: far below the size at which E's first-order error analysis would fail
+_NEWTON_ERROR_MAX = 1e-3
 
 #: most points a beta grid or an oracle lattice may hold, checked before allocating one
 MAX_GRID_POINTS = 1_000_000
@@ -232,6 +247,17 @@ def _linear_pieces(hazard, segments, first: float, last: float) -> tuple:
     )
 
 
+def _piece_fixed_point(hazard, x_n: float, x_vu: float, rate: float) -> tuple[float, float]:
+    """(guess, margin) of the consistency fixed point for a piecewise-linear
+    hazard: the closed form on the first piece that holds its own mass (NaN
+    if none does), safe within the hazard's _fixed_point_margin."""
+    for first, last, d, s, v in hazard._pieces:
+        P = (s * (x_n + x_vu - d) + v) / (1.0 + s * rate * x_vu)
+        if first <= x_n + (1.0 - P * rate) * x_vu <= last:
+            return P, hazard._fixed_point_margin
+    return math.nan, hazard._fixed_point_margin
+
+
 @dataclass(frozen=True)
 class AffineHazard:
     """p(d) = slope * d + intercept."""
@@ -278,16 +304,19 @@ class AffineHazard:
         v = _number(v, "target probability", self.floor, self.ceiling, UNIT_SLACK, RangeError)
         return min(max((v - self.intercept) / self.slope, 0.0), 1.0)
 
+    _fixed_point_guess = _piece_fixed_point
+
 
 @dataclass(frozen=True)
 class PowerHazard:
-    """p(d) = d ** exponent with exponent > 0 (so p(0) = 0, p(1) = 1)."""
+    """p(d) = d ** exponent with exponent > 0 (so p(0) = 0, p(1) = 1).
+
+    The consistency fixed point has no closed form here, so its guess comes
+    from a few safeguarded Newton steps (see _fixed_point_guess), and its
+    margin from the guess's own gap plus a bound on the gap's rounding.
+    """
 
     exponent: float
-
-    # no linear pieces, so the fixed point gets no guess and bisects plainly
-    _pieces = ()
-    _fixed_point_margin = math.inf
 
     def __post_init__(self) -> None:
         exponent = _float(self.exponent)
@@ -314,6 +343,52 @@ class PowerHazard:
     def inverse(self, v: float) -> float:
         v = _number(v, "target probability", 0.0, 1.0, UNIT_SLACK, RangeError)
         return min(max(v ** (1.0 / self.exponent), 0.0), 1.0)
+
+    def _fixed_point_guess(self, x_n: float, x_vu: float, rate: float) -> tuple[float, float]:
+        """(guess, margin) of the consistency fixed point P = p(m(P)), with
+        m(P) = x_n + (1 - P*rate)*x_vu clamped to [0, 1].
+
+        The guess is at most _NEWTON_STEPS Newton steps on the gap
+        g(P) = P - p(m(P)), from p(m(0)), inside the bracket the signs of g
+        have shown so far. It stops once |g| <= E, past which a step would
+        shrink the margin by less than E, or once a step no longer moves P.
+        The gap rises at least as fast as P, so |guess - P*| <= |g(guess)| + E,
+        where E bounds the rounding of one evaluation of g: m carries a
+        relative error of at most u(3 + rate/(1 - rate)) (u = 2**-53; the
+        last term is P*rate's error over 1 - P*rate), the power multiplies
+        it by the exponent k, and pow and the final subtraction add a few
+        ulp each. E = _ROUNDING * (3 + k(3 + rate/(1 - rate))) holds that
+        more than a hundred times over. A midpoint farther than
+        BISECT_TOL + 2E + |g(guess)| from the guess thus lies more than
+        BISECT_TOL + E from P*, where the computed gap exceeds BISECT_TOL in
+        size, so that is a safe margin. At rate = 1 the mass's relative
+        error is unbounded, and where E exceeds _NEWTON_ERROR_MAX the
+        first-order bound is no longer worth trusting; the guess is then NaN
+        and the margin infinite, so the bisection runs plainly.
+        """
+        k = self.exponent
+        error = _ROUNDING * (3.0 + k * (3.0 + rate / (1.0 - rate))) if rate < 1.0 else math.inf
+        if not error <= _NEWTON_ERROR_MAX:
+            return math.nan, math.inf
+        lo, hi = 0.0, 1.0
+        P = min(max(x_n + x_vu, 0.0), 1.0) ** k
+        for step in range(_NEWTON_STEPS + 1):
+            # the consistency gap at P, as solve_profile_P evaluates it
+            d = min(max(x_n + (1.0 - P * rate) * x_vu, 0.0), 1.0)
+            p = d ** k
+            g = P - p
+            if abs(g) <= error or step == _NEWTON_STEPS:
+                break
+            if g > 0.0:
+                hi = P
+            else:
+                lo = P
+            # g'(P) = 1 + k*rate*x_vu*d**(k - 1), taken as 1 where the mass clamps to 0
+            newton = P - g / (1.0 + k * rate * x_vu * p / d) if d > 0.0 else p
+            if newton == P:
+                break
+            P = newton if lo < newton < hi else 0.5 * (lo + hi)
+        return P, BISECT_TOL + 2.0 * error + abs(g)
 
 
 def _float_knots(knots) -> tuple[tuple[float, float], ...]:
@@ -449,6 +524,8 @@ class TableHazard:
         if j == len(ds) - 1 or ds[j] == d:
             return self._vs[j]
         return self._slopes[j] * (d - ds[j]) + self._vs[j]
+
+    _fixed_point_guess = _piece_fixed_point
 
     def inverse(self, v: float) -> float:
         v = _number(v, "target probability", self.floor, self.ceiling, UNIT_SLACK, RangeError)

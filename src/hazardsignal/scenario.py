@@ -76,7 +76,10 @@ class BetaSweep:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario; beta is either one quality or a sweep spec."""
+    """A parsed scenario; beta is either one quality or a sweep spec.
+
+    y, r and a single beta are stored as the Python floats the game built
+    from them holds (any finite real number converts)."""
 
     hazard: HazardCurve
     signal_reach: SignalReachCurve
@@ -87,10 +90,13 @@ class Scenario:
     def __post_init__(self) -> None:
         # force full validation for every beta in range (endpoints suffice)
         if isinstance(self.beta, BetaSweep):
-            self.game_at(self.beta.lo)
+            game = self.game_at(self.beta.lo)
             self.game_at(self.beta.hi)
         else:
-            self.game_at(self.beta)
+            game = self.game_at(self.beta)
+            object.__setattr__(self, "beta", game.beta)
+        object.__setattr__(self, "y", game.y)
+        object.__setattr__(self, "r", game.r)
 
     @property
     def is_sweep(self) -> bool:

@@ -115,6 +115,28 @@ def adversarial_tables(draw):
         reject()
 
 
+@st.composite
+def extreme_power(draw):
+    """Power-hazard games at the extremes of the fixed point's Newton guess:
+    exponents 0.02-50, y in [0.02, 0.98], r up to 1e4, and a signal rate
+    anywhere in [0, 1 - 1e-12], within 1e-1 .. 1e-12 of 1, or exactly 1."""
+    exponent = min(max(10.0 ** draw(st.floats(math.log10(0.02), math.log10(50.0))), 0.02), 50.0)
+    rate = draw(
+        st.one_of(
+            st.floats(0.0, 1.0 - 1e-12),
+            st.floats(1.0, 12.0).map(lambda e: 1.0 - 10.0 ** -e),
+            st.just(1.0),
+        )
+    )
+    return SignalingGame(
+        beta=rate,
+        y=draw(st.floats(0.02, 0.98)),
+        r=draw(st.floats(1.01, 1e4)),
+        hazard=PowerHazard(exponent),
+        signal_reach=ConstantReach(1.0),
+    )
+
+
 def knot_targets(curve) -> list[float]:
     """Inversion targets where a table is hardest: floor, ceiling, every
     knot and every knot +- 1e-15 .. 1e-12, those inside the range."""

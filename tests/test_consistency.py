@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hazardsignal import (
     AffineHazard,
@@ -26,6 +26,7 @@ from hazardsignal import (
 from conftest import (
     adoption_backfire_game,
     adversarial_tables,
+    extreme_power,
     guided_against_plain,
     random_game,
     same_bits,
@@ -133,27 +134,42 @@ def solved_profiles(game, a, b):
     ]
 
 
-class TestGuidedFixedPoint:
-    """solve_profile_P bisects guided by the closed form on the linear piece
-    that holds its mass; the guess may skip steps, never change a bit."""
+def redrawn(game, hazard, rate):
+    """game with the given hazard (None keeps its own) and signal rate 0, 1
+    or any other (None keeps its own)."""
+    if hazard is not None:
+        game = dataclasses.replace(game, hazard=hazard)
+    if rate is not None:
+        game = dataclasses.replace(game, beta=rate, signal_reach=ConstantReach(1.0))
+    return game
 
-    @given(
-        st.randoms(use_true_random=False),
-        st.one_of(table_curves(), adversarial_tables(), extreme_affine(), st.none()),
-        st.sampled_from([None, 0.0, 1.0]),
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 1.0),
+
+@st.composite
+def redrawn_games(draw):
+    """random_game's reach, y, r and beta, with a drawn hazard (None keeps its
+    affine or power one) and signal rate 0, 1 or as drawn."""
+    return redrawn(
+        random_game(draw(st.randoms(use_true_random=False))),
+        draw(st.one_of(table_curves(), adversarial_tables(), extreme_affine(), st.none())),
+        draw(st.sampled_from([None, 0.0, 1.0])),
     )
-    @example(random.Random(0), AffineHazard(1e-300, 0.5), 1.0, 0.5, 0.5)
-    @example(random.Random(0), TableHazard(((1e-13, 0.1), (1.0 - 1e-13, 1.0))), 1.0, 1.0, 1.0)
-    def test_guided_returns_the_plain_bits(self, rng, hazard, rate, a, b):
-        # random_game's reach, y, r and beta, with the drawn hazard (None keeps
-        # its affine or power one) and signal rate 0, 1 or as drawn
-        game = random_game(rng)
-        if hazard is not None:
-            game = dataclasses.replace(game, hazard=hazard)
-        if rate is not None:
-            game = dataclasses.replace(game, beta=rate, signal_reach=ConstantReach(1.0))
+
+
+class TestGuidedFixedPoint:
+    """solve_profile_P bisects guided by each hazard's guess of the fixed
+    point (the closed form on the linear piece that holds its mass, or a
+    power hazard's Newton steps); the guess may skip steps, never change a bit."""
+
+    @given(st.one_of(redrawn_games(), extreme_power()), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(redrawn(random_game(random.Random(0)), AffineHazard(1e-300, 0.5), 1.0), 0.5, 0.5)
+    @example(
+        redrawn(random_game(random.Random(0)), TableHazard(((1e-13, 0.1), (1.0 - 1e-13, 1.0))), 1.0),
+        1.0,
+        1.0,
+    )
+    @example(SignalingGame(1.0 - 1e-9, 0.98, 1e4, PowerHazard(50.0), ConstantReach(1.0)), 1.0, 1.0)
+    @example(SignalingGame(1.0 - 1e-9, 0.02, 1e4, PowerHazard(0.02), ConstantReach(1.0)), 0.0, 1.0)
+    def test_guided_returns_the_plain_bits(self, game, a, b):
         with guided_against_plain(consistency) as calls:
             for profile in solved_profiles(game, a, b):
                 try:
@@ -168,12 +184,14 @@ class TestGuidedFixedPoint:
     @given(st.randoms(use_true_random=False), st.one_of(table_curves(), st.none()),
            st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_guided_evaluates_a_few_points_of_the_plain_path(self, rng, table, a, b):
-        # a guess that went missing would evaluate the plain path's ~40 points
+        # a guess that went missing would evaluate the plain path's ~40 points.
+        # A power hazard's margin grows as 1/(1 - rate), and at rate 1 it has
+        # no guess, so its games join at rates up to 0.999
         game = random_game(rng)
         if table is not None:
             game = dataclasses.replace(game, hazard=table)
         elif isinstance(game.hazard, PowerHazard):
-            game = dataclasses.replace(game, hazard=AffineHazard(0.5, 0.25))
+            assume(game.signal_rate <= 0.999)
         with guided_against_plain(consistency) as calls:
             for profile in solved_profiles(game, a, b):
                 solve_profile_P(game, profile)
@@ -181,12 +199,14 @@ class TestGuidedFixedPoint:
             assert [x for x in plain_points if x in guided_points] == guided_points
             assert 1 <= len(guided_points) <= 12
 
-    def test_power_hazard_bisects_plainly(self):
+    def test_power_hazard_is_guided(self):
         game = SignalingGame(0.5, 0.5, 3.0, PowerHazard(2.0), LinearReach(1.0))
         with guided_against_plain(consistency) as calls:
             solve_profile_P(game, BehaviorProfile(0.2, 0.5, 0.0))
         [(guided, plain, guided_points, plain_points)] = calls
-        assert same_bits(guided, plain) and guided_points == plain_points
+        assert same_bits(guided, plain)
+        assert set(guided_points) <= set(plain_points)
+        assert len(guided_points) <= 3 and len(plain_points) >= 30
 
 
 class TestPosterior:

@@ -456,3 +456,26 @@ class TestSinglePeaked:
 
     def test_tolerance_absorbs_noise(self):
         assert single_peaked([0.0, 1.0, 1.0 - 1e-12, 0.5], tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "values,tol,message",
+        [
+            ([1, 2, 1], "x", "tol must be a finite number, got 'x'"),
+            ([1, 2, 1], None, "tol must be a finite number, got None"),
+            ([1, 2, 1], float("nan"), "tol must be a finite number, got nan"),
+            (["a", "b"], 1e-9, "values must be finite numbers, got 'a'"),
+            ([0.0, None], 1e-9, "values must be finite numbers, got None"),
+            ([0.0, float("inf")], 1e-9, "values must be finite numbers, got inf"),
+            (None, 1e-9, "values must be a sequence of numbers, got None"),
+        ],
+    )
+    def test_non_numbers_rejected(self, values, tol, message):
+        with pytest.raises(InputError) as info:
+            single_peaked(values, tol)
+        assert str(info.value) == message
+
+    def test_any_real_numbers_accepted(self):
+        from fractions import Fraction
+
+        assert single_peaked([Fraction(1, 3), np.float32(0.5), 1, np.int64(0)], tol=Fraction(0))
+        assert not single_peaked(iter([1, 0, 1]), tol=0)

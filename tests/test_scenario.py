@@ -169,6 +169,29 @@ class TestCanonicalEcho:
         assert echoed.beta == pytest.approx(sc.beta, rel=1e-11, abs=1e-12)
 
 
+class TestNumbersStored:
+    def test_y_r_and_beta_stored_as_floats(self):
+        from fractions import Fraction
+
+        import numpy as np
+
+        sc = Scenario(
+            AffineHazard(0.3, 0.1), LinearReach(0.9), Fraction(1, 2), 3, np.float32(0.5)
+        )
+        assert [type(v) for v in (sc.y, sc.r, sc.beta)] == [float, float, float]
+        assert (sc.y, sc.r, sc.betas()) == (0.5, 3.0, [0.5])
+        assert sc == Scenario(AffineHazard(0.3, 0.1), LinearReach(0.9), 0.5, 3.0, 0.5)
+
+    def test_sweep_scenario_stores_floats(self):
+        sc = Scenario(AffineHazard(0.3, 0.1), LinearReach(0.9), 1, 2, BetaSweep(0, 1, 3))
+        assert [type(v) for v in (sc.y, sc.r)] == [float, float]
+        assert sc.betas() == [0.0, 0.5, 1.0]
+
+    def test_non_number_still_refused(self):
+        with pytest.raises(ParameterError, match="got '0.5'"):
+            Scenario(AffineHazard(0.3, 0.1), LinearReach(0.9), "0.5", 3.0, 0.5)
+
+
 def _scenario(**values):
     """BASIC's entries as scenario text, with the given keys replaced."""
     entries = {
