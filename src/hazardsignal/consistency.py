@@ -9,25 +9,9 @@ profile this closes into a one-dimensional fixed point
 
 whose left side rises from p(0) to p(1) while the right side is
 nonincreasing in P, so the solution is unique and bisection converges
-unconditionally.
-
-The bisection is guided by a guess of the root rather than replaced. The
-gap F(P) = P - p(x_n + (1 - P·beta·q(y))·x_vu) rises at least as fast as P,
-so |F(P)| >= |P - P*|, and at a midpoint farther from the guess than the
-hazard's margin the plain step's move is certain and is taken without
-evaluating p. P and the residual keep the plain bisection's bits. Each
-hazard family supplies (guess, margin) through its _fixed_point_guess:
-
-- where p is linear on a piece (an affine hazard, a table segment) the
-  fixed point has a closed form,
-  P = (s(x_n + x_vu - d_j) + v_j) / (1 + s·beta·q(y)·x_vu) for the piece
-  p(d) = s(d - d_j) + v_j, valid when its mass lies on the piece, and the
-  margin is BISECT_TOL plus rounding that grows with the steepest slope;
-- a power hazard d**k has no closed form, so a few safeguarded Newton steps
-  on F give the guess, and the margin is BISECT_TOL + 2E + |F(guess)|,
-  where E = _ROUNDING·(3 + k·(3 + beta·q/(1 - beta·q))) bounds the rounding
-  of one evaluation of F. At beta·q(y) = 1, or where E exceeds 1e-3, the
-  guess is skipped and the bisection runs plainly.
+unconditionally. Each hazard family solves it in model, by its
+_fixed_point on model._gap; solve_profile_P only checks the profile and
+derives the signal quantities from P.
 
 posterior_no_signal and group_costs take any real probability within
 1e-12 of [0, 1] as a clamped Python float (model._number).
@@ -38,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import BehaviorProfile, ModelError, SignalingGame, validate_profile
-from .model import _bisect, _number
+from .model import _number
 
 __all__ = [
     "DegenerateSignalError",
@@ -51,6 +35,11 @@ __all__ = [
 
 #: tolerated floating overshoot of a probability argument outside [0, 1]
 _PROBABILITY_SLACK = 1e-12
+
+#: least chance 1 - P*beta*q(y) of seeing no warning at which the no-signal
+#: posterior, which divides by it, is defined; equilibrium's NCVI branch
+#: refuses a smaller one too
+_SHARE_MIN = 1e-15
 
 
 class DegenerateSignalError(ModelError):
@@ -94,15 +83,7 @@ def solve_profile_P(game: SignalingGame, profile: BehaviorProfile) -> Consistenc
     """
     validate_profile(game, profile)
     rate = game.signal_rate
-    x_n, x_vu = profile.x_n, profile.x_vu
-    hazard = game.hazard
-
-    def gap(P: float) -> float:
-        arg = x_n + (1.0 - P * rate) * x_vu
-        return P - hazard._eval(min(max(arg, 0.0), 1.0))
-
-    guess, margin = hazard._fixed_point_guess(x_n, x_vu, rate)
-    P, g = _bisect(gap, hazard.floor, hazard.ceiling, guess, margin)
+    P, g = game.hazard._fixed_point(profile.x_n, profile.x_vu, rate)
     return ConsistencyResult(
         P=P,
         Q=P * rate,
@@ -122,7 +103,7 @@ def posterior_no_signal(game: SignalingGame, P: float) -> float:
     P = _number(P, "accident probability", 0.0, 1.0, _PROBABILITY_SLACK)
     rate = game.signal_rate
     denom = 1.0 - P * rate
-    if denom <= 1e-15:
+    if denom <= _SHARE_MIN:
         raise DegenerateSignalError(
             "beta*q(y) = 1 with a certain accident leaves the no-signal posterior undefined"
         )

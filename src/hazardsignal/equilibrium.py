@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .model import BehaviorProfile, ModelError, SignalingGame
 from .consistency import DegenerateSignalError, posterior_no_signal, solve_profile_P
+from .consistency import _SHARE_MIN
 
 __all__ = [
     "Region",
@@ -140,8 +141,7 @@ def _solve(game: SignalingGame) -> tuple[Region, float, float, float, float, flo
         elif region is Region.NCVI:
             P = game.t_unsignaled
             share = 1.0 - rate * P
-            if share <= 1e-15:
-                # the invariant posterior_no_signal guards, at the same threshold
+            if share <= _SHARE_MIN:
                 raise DegenerateSignalError(
                     "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined"
                 )

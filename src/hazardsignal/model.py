@@ -33,14 +33,13 @@ oracle's sign tests) call _eval directly, so no loop step pays for a check.
 Both scalar bisections (the table inverse and the consistency fixed point)
 are guided by a guess of their root and a margin around it. The guess only
 lets _bisect skip the steps whose outcome is certain; it still returns the
-plain bisection's (x, f(x)), bit for bit. Each hazard's _fixed_point_guess
-gives the fixed point's (guess, margin): affine and table hazards solve the
-linear piece that holds the mass in closed form, and a power hazard takes a
-few safeguarded Newton steps. The power margin is BISECT_TOL + 2E plus the
-guess's own gap, where E = _ROUNDING·(3 + k·(3 + rate/(1 - rate))) bounds
-the rounding of one gap evaluation for exponent k and signal rate
-rate = beta·q(y); at rate = 1, or where E exceeds 1e-3, there is no guess
-and the fixed point bisects plainly.
+plain bisection's (x, f(x)), bit for bit. Each hazard family solves the
+consistency fixed point itself: its _fixed_point(x_n, x_vu, rate) bisects
+_gap, the one float evaluation of the fixed point's gap, guided by the
+family's own guess and margin, and returns (P, gap(P)). Affine and table
+hazards solve the linear piece that holds the mass in closed form
+(_piece_fixed_point), and a power hazard takes a few safeguarded Newton
+steps (PowerHazard._fixed_point).
 """
 
 from __future__ import annotations
@@ -247,15 +246,34 @@ def _linear_pieces(hazard, segments, first: float, last: float) -> tuple:
     )
 
 
+def _gap(hazard, x_n: float, x_vu: float, rate: float):
+    """The consistency fixed point's gap g(P) = P - p(x_n + (1 - P*rate)*x_vu),
+    its mass clamped to [0, 1], as the one float function every family's
+    _fixed_point bisects and checks its guess and margin against. g rises at
+    least as fast as P, so |g(P)| >= |P - P*| but for rounding."""
+    p = hazard._eval
+
+    def gap(P: float) -> float:
+        return P - p(min(max(x_n + (1.0 - P * rate) * x_vu, 0.0), 1.0))
+
+    return gap
+
+
 def _piece_fixed_point(hazard, x_n: float, x_vu: float, rate: float) -> tuple[float, float]:
-    """(guess, margin) of the consistency fixed point for a piecewise-linear
-    hazard: the closed form on the first piece that holds its own mass (NaN
-    if none does), safe within the hazard's _fixed_point_margin."""
+    """(P, gap(P)) of the consistency fixed point for a piecewise-linear
+    hazard, bisected guided by the closed form
+    P = (s(x_n + x_vu - d_j) + v_j) / (1 + s*rate*x_vu) on the first piece
+    p(d) = s(d - d_j) + v_j that holds its own mass (no guess if none does),
+    within the hazard's _fixed_point_margin: BISECT_TOL plus rounding that
+    grows with the steepest slope."""
     for first, last, d, s, v in hazard._pieces:
-        P = (s * (x_n + x_vu - d) + v) / (1.0 + s * rate * x_vu)
-        if first <= x_n + (1.0 - P * rate) * x_vu <= last:
-            return P, hazard._fixed_point_margin
-    return math.nan, hazard._fixed_point_margin
+        guess = (s * (x_n + x_vu - d) + v) / (1.0 + s * rate * x_vu)
+        if first <= x_n + (1.0 - guess * rate) * x_vu <= last:
+            break
+    else:
+        guess = math.nan
+    gap = _gap(hazard, x_n, x_vu, rate)
+    return _bisect(gap, hazard.floor, hazard.ceiling, guess, hazard._fixed_point_margin)
 
 
 @dataclass(frozen=True)
@@ -304,16 +322,16 @@ class AffineHazard:
         v = _number(v, "target probability", self.floor, self.ceiling, UNIT_SLACK, RangeError)
         return min(max((v - self.intercept) / self.slope, 0.0), 1.0)
 
-    _fixed_point_guess = _piece_fixed_point
+    _fixed_point = _piece_fixed_point
 
 
 @dataclass(frozen=True)
 class PowerHazard:
     """p(d) = d ** exponent with exponent > 0 (so p(0) = 0, p(1) = 1).
 
-    The consistency fixed point has no closed form here, so its guess comes
-    from a few safeguarded Newton steps (see _fixed_point_guess), and its
-    margin from the guess's own gap plus a bound on the gap's rounding.
+    The consistency fixed point has no closed form here, so _fixed_point
+    guides its bisection of _gap by a few safeguarded Newton steps, within a
+    margin made of the guess's own gap plus a bound on the gap's rounding.
     """
 
     exponent: float
@@ -344,15 +362,15 @@ class PowerHazard:
         v = _number(v, "target probability", 0.0, 1.0, UNIT_SLACK, RangeError)
         return min(max(v ** (1.0 / self.exponent), 0.0), 1.0)
 
-    def _fixed_point_guess(self, x_n: float, x_vu: float, rate: float) -> tuple[float, float]:
-        """(guess, margin) of the consistency fixed point P = p(m(P)), with
-        m(P) = x_n + (1 - P*rate)*x_vu clamped to [0, 1].
+    def _fixed_point(self, x_n: float, x_vu: float, rate: float) -> tuple[float, float]:
+        """(P, gap(P)) of the consistency fixed point P = p(m(P)), with
+        m(P) = x_n + (1 - P*rate)*x_vu clamped to [0, 1] (see _gap).
 
-        The guess is at most _NEWTON_STEPS Newton steps on the gap
-        g(P) = P - p(m(P)), from p(m(0)), inside the bracket the signs of g
-        have shown so far. It stops once |g| <= E, past which a step would
-        shrink the margin by less than E, or once a step no longer moves P.
-        The gap rises at least as fast as P, so |guess - P*| <= |g(guess)| + E,
+        The bisection's guess is at most _NEWTON_STEPS Newton steps on the
+        gap g, from p(m(0)), inside the bracket the signs of g have shown so
+        far. It stops once |g| <= E, past which a step would shrink the
+        margin by less than E, or once a step no longer moves P. The gap
+        rises at least as fast as P, so |guess - P*| <= |g(guess)| + E,
         where E bounds the rounding of one evaluation of g: m carries a
         relative error of at most u(3 + rate/(1 - rate)) (u = 2**-53; the
         last term is P*rate's error over 1 - P*rate), the power multiplies
@@ -363,32 +381,33 @@ class PowerHazard:
         BISECT_TOL + E from P*, where the computed gap exceeds BISECT_TOL in
         size, so that is a safe margin. At rate = 1 the mass's relative
         error is unbounded, and where E exceeds _NEWTON_ERROR_MAX the
-        first-order bound is no longer worth trusting; the guess is then NaN
-        and the margin infinite, so the bisection runs plainly.
+        first-order bound is no longer worth trusting; the fixed point then
+        bisects plainly.
         """
+        gap = _gap(self, x_n, x_vu, rate)
         k = self.exponent
         error = _ROUNDING * (3.0 + k * (3.0 + rate / (1.0 - rate))) if rate < 1.0 else math.inf
         if not error <= _NEWTON_ERROR_MAX:
-            return math.nan, math.inf
+            return _bisect(gap, 0.0, 1.0, math.nan, math.inf)
         lo, hi = 0.0, 1.0
+        c = k * rate * x_vu
         P = min(max(x_n + x_vu, 0.0), 1.0) ** k
         for step in range(_NEWTON_STEPS + 1):
-            # the consistency gap at P, as solve_profile_P evaluates it
-            d = min(max(x_n + (1.0 - P * rate) * x_vu, 0.0), 1.0)
-            p = d ** k
-            g = P - p
+            g = gap(P)
             if abs(g) <= error or step == _NEWTON_STEPS:
                 break
             if g > 0.0:
                 hi = P
             else:
                 lo = P
-            # g'(P) = 1 + k*rate*x_vu*d**(k - 1), taken as 1 where the mass clamps to 0
-            newton = P - g / (1.0 + k * rate * x_vu * p / d) if d > 0.0 else p
+            # g'(P) = 1 + c*d**(k - 1) at the mass d, taken as 1 where the
+            # mass clamps to 0; p(d) is P - g up to rounding
+            d = x_n + (1.0 - P * rate) * x_vu
+            newton = P - g / (1.0 + c * (P - g) / d) if d > 0.0 else P - g
             if newton == P:
                 break
             P = newton if lo < newton < hi else 0.5 * (lo + hi)
-        return P, BISECT_TOL + 2.0 * error + abs(g)
+        return _bisect(gap, 0.0, 1.0, P, BISECT_TOL + 2.0 * error + abs(g))
 
 
 def _float_knots(knots) -> tuple[tuple[float, float], ...]:
@@ -525,7 +544,7 @@ class TableHazard:
             return self._vs[j]
         return self._slopes[j] * (d - ds[j]) + self._vs[j]
 
-    _fixed_point_guess = _piece_fixed_point
+    _fixed_point = _piece_fixed_point
 
     def inverse(self, v: float) -> float:
         v = _number(v, "target probability", self.floor, self.ceiling, UNIT_SLACK, RangeError)

@@ -148,10 +148,11 @@ def knot_targets(curve) -> list[float]:
 
 
 @contextlib.contextmanager
-def guided_against_plain(module):
-    """Run every guided bisection that `module` makes a second time without
-    its guess, recording per call the two results and the points at which
-    each evaluated f: (guided, plain, guided_points, plain_points)."""
+def guided_against_plain():
+    """Run every guided bisection (a table inverse or a hazard's consistency
+    fixed point, both in model) a second time without its guess, recording
+    per call the two results and the points at which each evaluated f:
+    (guided, plain, guided_points, plain_points)."""
     bisect = model._bisect
     calls = []
 
@@ -166,7 +167,7 @@ def guided_against_plain(module):
         calls.append((guided, plain, guided_points, plain_points))
         return guided
 
-    with mock.patch.object(module, "_bisect", both):
+    with mock.patch.object(model, "_bisect", both):
         yield calls
 
 

@@ -140,6 +140,17 @@ class TestOracleCheck:
         assert rows[0][-1] in {"agree", "disagree", "empty"}
         assert code in {0, 4}
 
+    def test_no_member_exits_4(self, tmp_path):
+        # an eps no lattice point can meet leaves no member: the verdict is empty
+        out = tmp_path / "oracle.csv"
+        code = main(
+            ["oracle-check", str(ZERO_OPT), "--grid-step", "0.05", "--eps", "1e-300",
+             "--out", str(out)]
+        )
+        _, _, rows = read_csv(out)
+        assert rows == [["1", "0", "0", "0.02574002574", "0.119047619048", "nan", "nan", "empty"]]
+        assert code == 4
+
     def test_sweep_scenario_yields_one_row_per_beta(self, tmp_path):
         scn = tmp_path / "small_sweep.scn"
         scn.write_text(

@@ -17,7 +17,6 @@ from hazardsignal import (
     PowerHazard,
     SignalingGame,
     TableHazard,
-    consistency,
     group_costs,
     posterior_no_signal,
     solve_profile_P,
@@ -156,8 +155,8 @@ def redrawn_games(draw):
 
 
 class TestGuidedFixedPoint:
-    """solve_profile_P bisects guided by each hazard's guess of the fixed
-    point (the closed form on the linear piece that holds its mass, or a
+    """Each hazard family's _fixed_point bisects guided by its guess of the
+    fixed point (the closed form on the linear piece that holds its mass, or a
     power hazard's Newton steps); the guess may skip steps, never change a bit."""
 
     @given(st.one_of(redrawn_games(), extreme_power()), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -170,7 +169,7 @@ class TestGuidedFixedPoint:
     @example(SignalingGame(1.0 - 1e-9, 0.98, 1e4, PowerHazard(50.0), ConstantReach(1.0)), 1.0, 1.0)
     @example(SignalingGame(1.0 - 1e-9, 0.02, 1e4, PowerHazard(0.02), ConstantReach(1.0)), 0.0, 1.0)
     def test_guided_returns_the_plain_bits(self, game, a, b):
-        with guided_against_plain(consistency) as calls:
+        with guided_against_plain() as calls:
             for profile in solved_profiles(game, a, b):
                 try:
                     solve_profile_P(game, profile)
@@ -192,7 +191,7 @@ class TestGuidedFixedPoint:
             game = dataclasses.replace(game, hazard=table)
         elif isinstance(game.hazard, PowerHazard):
             assume(game.signal_rate <= 0.999)
-        with guided_against_plain(consistency) as calls:
+        with guided_against_plain() as calls:
             for profile in solved_profiles(game, a, b):
                 solve_profile_P(game, profile)
         for _, _, guided_points, plain_points in calls:
@@ -201,7 +200,7 @@ class TestGuidedFixedPoint:
 
     def test_power_hazard_is_guided(self):
         game = SignalingGame(0.5, 0.5, 3.0, PowerHazard(2.0), LinearReach(1.0))
-        with guided_against_plain(consistency) as calls:
+        with guided_against_plain() as calls:
             solve_profile_P(game, BehaviorProfile(0.2, 0.5, 0.0))
         [(guided, plain, guided_points, plain_points)] = calls
         assert same_bits(guided, plain)

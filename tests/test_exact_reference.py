@@ -6,16 +6,30 @@ In NCVR and NRVR the equilibrium P solves P = p(x_n + (1 - P·ρ)·x_vu) with
     P* = (a·(x_n + x_vu) + b) / (1 + a·ρ·x_vu)
 
 holds exactly when every float parameter is read as the rational it is.
+A table hazard is linear on each segment between its knots and flat past
+its end knots, so its fixed point is that closed form on the one piece that
+holds its own mass, and its inverse is d_j + (v - v_j)/s_j on the segment
+that holds v, both exact in rationals.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
-from hazardsignal import AffineHazard, Region, classify_region, solve_equilibrium
+from hypothesis import given, strategies as st
+
+from hazardsignal import (
+    AffineHazard,
+    BehaviorProfile,
+    Region,
+    classify_region,
+    solve_equilibrium,
+    solve_profile_P,
+)
 from hazardsignal.model import BISECT_TOL
 
-from conftest import random_game
+from conftest import adversarial_tables, knot_targets, random_game, table_curves
 
 #: the bisection stops once |P - p(...)| <= BISECT_TOL or its bracket is
 #: narrower than 4 ulp of 1; the map's slope is at least 1, so P is that close
@@ -56,3 +70,92 @@ def test_affine_fixed_point_within_bisection_bound():
     for game, rep in affine_fixed_point_games(seed=11, count=3000):
         error = abs(Fraction(rep.P) - exact_affine_P(game, rep.x_ne))
         assert error <= FIXED_POINT_BOUND, (game, rep.region, float(error))
+
+
+#: the rounding a guided bisection's margin allows per unit of slope: 64 ulp of 1
+ROUNDING = 64 * math.ulp(1.0)
+
+
+def exact_table(curve):
+    """The table's knots and segment slopes as rationals."""
+    knots = [(Fraction(d), Fraction(v)) for d, v in curve.knots]
+    slopes = [(v1 - v0) / (d1 - d0) for (d0, v0), (d1, v1) in zip(knots, knots[1:])]
+    return knots, slopes
+
+
+def exact_table_eval(knots, slopes, d: Fraction) -> Fraction:
+    """p(d) of the table read exactly, flat past its end knots, as np.interp is."""
+    if d <= knots[0][0]:
+        return knots[0][1]
+    for (d0, v0), (d1, _), s in zip(knots, knots[1:], slopes):
+        if d <= d1:
+            return s * (d - d0) + v0
+    return knots[-1][1]
+
+
+def exact_table_P(game, profile) -> Fraction:
+    """The fixed point P = p(m(P)), m(P) = x_n + (1 - P·ρ)·x_vu clamped to [0, 1],
+    of a table game: one candidate per piece, kept when it is a fixed point."""
+    knots, slopes = exact_table(game.hazard)
+    rho = Fraction(game.signal_rate)
+    x_n, x_vu = Fraction(profile.x_n), Fraction(profile.x_vu)
+
+    def p_of_mass(P):
+        return exact_table_eval(knots, slopes, min(max(x_n + (1 - P * rho) * x_vu, 0), 1))
+
+    candidates = [
+        (s * (x_n + x_vu - d) + v) / (1 + s * rho * x_vu) for (d, v), s in zip(knots, slopes)
+    ]
+    # the flat stretches past the end knots, and a mass clamped to 1
+    candidates += [knots[0][1], knots[-1][1], exact_table_eval(knots, slopes, Fraction(1))]
+    [P] = {P for P in candidates if P == p_of_mass(P)}
+    return P
+
+
+def exact_table_inverse(curve, v: float) -> Fraction:
+    """The mass in [0, 1] at which the segment that holds v reaches it, read exactly."""
+    knots, slopes = exact_table(curve)
+    v = Fraction(v)
+    for (d0, v0), (_, v1), s in zip(knots, knots[1:], slopes):
+        if v <= v1:
+            return min(max(d0 + (v - v0) / s, Fraction(0)), Fraction(1))
+
+
+@given(
+    st.one_of(table_curves(), adversarial_tables()),
+    st.randoms(use_true_random=False),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_table_fixed_point_within_bisection_bound(curve, rng, a, b):
+    # the bisection stops once |gap| <= BISECT_TOL or its bracket is 4 ulp
+    # wide, and the gap rises at least as fast as P, so P lies within that
+    # of the exact root, plus the gap's rounding, which grows with the
+    # steepest slope (the table's fixed-point margin)
+    game = dataclasses.replace(random_game(rng), hazard=curve)
+    _, slopes = exact_table(curve)
+    bound = FIXED_POINT_BOUND + ROUNDING * (1 + float(max(slopes)))
+    y = game.y
+    for x_n, x_vu in ((0.0, 0.0), (0.0, y), (1.0 - y, y), (a * (1.0 - y), b * y)):
+        profile = BehaviorProfile(x_n, x_vu, 0.0)
+        P = solve_profile_P(game, profile).P
+        error = abs(Fraction(P) - exact_table_P(game, profile))
+        assert error <= bound, (curve, game, profile, float(error))
+
+
+@given(st.one_of(table_curves(), adversarial_tables()), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_table_inverse_within_bisection_bound(curve, ts):
+    # the TableHazard docstring's bound: BISECT_TOL / s_min plus rounding and
+    # the ends of [0, 1] that the end knots may leave uncovered
+    knots, slopes = exact_table(curve)
+    bound = (
+        (BISECT_TOL + ROUNDING) / float(min(slopes))
+        + ROUNDING
+        + 4 * math.ulp(1.0)
+        + max(curve.knots[0][0], 0.0)
+        + max(1.0 - curve.knots[-1][0], 0.0)
+    )
+    targets = knot_targets(curve) + [curve.floor + t * (curve.ceiling - curve.floor) for t in ts]
+    for v in targets:
+        error = abs(Fraction(curve.inverse(v)) - exact_table_inverse(curve, v))
+        assert error <= bound, (curve.knots, v, float(error), bound)

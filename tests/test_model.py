@@ -23,7 +23,6 @@ from hazardsignal import (
     RangeError,
     SignalingGame,
     TableHazard,
-    model,
     validate_profile,
 )
 
@@ -199,7 +198,7 @@ class TestGuidedInverse:
     @example(TableHazard(((1e-13, 0.0), (1.0 - 1e-13, 1.0))), [0.0, 1.0])
     def test_guided_returns_the_plain_bits(self, curve, ts):
         targets = knot_targets(curve) + [curve.floor + t * (curve.ceiling - curve.floor) for t in ts]
-        with guided_against_plain(model) as calls:
+        with guided_against_plain() as calls:
             for v in targets:
                 curve.inverse(v)
         assert len(calls) == len(targets)
@@ -214,7 +213,7 @@ class TestGuidedInverse:
     @example(TableHazard(((0.0, 0.0), (10 / 13, 1 / 9), (12 / 13, 2 / 9), (1.0 + 1e-13, 1.0))), 1.0)
     def test_guided_evaluates_a_few_points_of_the_plain_path(self, curve, t):
         # a guess that went missing would evaluate the plain path's 30-50 points
-        with guided_against_plain(model) as calls:
+        with guided_against_plain() as calls:
             curve.inverse(curve.floor + t * (curve.ceiling - curve.floor))
         [(_, _, guided_points, plain_points)] = calls
         assert [x for x in plain_points if x in guided_points] == guided_points
@@ -445,6 +444,19 @@ class TestGameValidation:
             SignalingGame(hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9), **params)
         assert str(info.value) == f"game parameter {name} must be a finite number, got {shown}"
 
+    @pytest.mark.parametrize(
+        "curves, message",
+        [
+            (("affine", LinearReach(0.9)), "unsupported hazard curve 'affine'"),
+            ((AffineHazard(0.3, 0.1), "linear"), "unsupported signal reach curve 'linear'"),
+        ],
+        ids=["hazard", "reach"],
+    )
+    def test_curve_that_is_not_a_curve_rejected(self, curves, message):
+        with pytest.raises(CurveError) as info:
+            SignalingGame(0.5, 0.5, 3.0, *curves)
+        assert str(info.value) == message
+
     def test_signal_rate(self):
         game = SignalingGame(
             beta=0.5, y=0.9, r=3.0, hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9)
@@ -522,3 +534,7 @@ class TestBehaviorProfile:
             validate_profile(game, BehaviorProfile(0.7, 0.0, 0.0))
         with pytest.raises(InputError):
             validate_profile(game, BehaviorProfile(0.0, 0.5, 0.0))
+        with pytest.raises(
+            InputError, match=r"^signaled V2V reckless mass 0\.6 exceeds group size 0\.5$"
+        ):
+            validate_profile(dataclasses.replace(game, y=0.5), BehaviorProfile(0.0, 0.0, 0.6))

@@ -241,6 +241,8 @@ class TestMessagesPinned:
             ("beta", "sweep(a, 1, 11)", "beta sweep lo: expected a number, got 'a'"),
             ("beta", "sweep(0, b, 11)", "beta sweep hi: expected a number, got 'b'"),
             ("beta", "sweep(0, 1, c)", "beta sweep count: expected a number, got 'c'"),
+            ("beta", "grid(0, 1, 3)", "beta: unknown form 'grid' (expected a number or sweep)"),
+            ("beta", "", "line 5: empty value for 'beta'"),
             # unknown family on each key
             ("hazard", "cubic(1)", f"unknown hazard family 'cubic' {HAZARD_FAMILIES}"),
             ("hazard", "linear(0.9)", f"unknown hazard family 'linear' {HAZARD_FAMILIES}"),
