@@ -210,18 +210,16 @@ def optimal_beta_social(game: SignalingGame, grid_n: int = 101) -> DesignResult:
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section search on [a, b]; returns the best probed point.
+    """Golden-section search on [a, b], which must be wider than tol; returns
+    the better of the last two probes, or (nan, inf) if neither is below inf.
 
-    Assumes a single local minimum in the interval; endpoint evaluations
-    guard the degenerate case where the minimum sits on the boundary.
+    Assumes a single local minimum in the interval. The endpoints are never
+    probed: optimal_beta_social passes the grid neighbours of its grid
+    argmin, which cost at least as much as the argmin, and keeps a probe only
+    when it is strictly cheaper than that.
     """
-    best_x, best_f = a, f(a)
-    fb = f(b)
-    if fb < best_f:
-        best_x, best_f = b, fb
+    best_x, best_f = math.nan, math.inf
     h = b - a
-    if h <= tol:
-        return best_x, best_f
     steps = max(int(math.ceil(math.log(tol / h) / math.log(_INV_PHI))), 1)
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h

@@ -231,5 +231,13 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file."""
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a scenario file; one that is not UTF-8 raises
+    ScenarioError naming the file and the offset of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    return parse_scenario(text)

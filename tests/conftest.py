@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +22,8 @@ from hazardsignal import model
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+# the benchmark's modules import by bare name, as in hsbench/test_hsbench.py
+sys.path.insert(0, str(REPO_ROOT / "hsbench"))
 
 
 def adoption_backfire_game(beta: float) -> SignalingGame:
@@ -171,5 +174,8 @@ def guided_against_plain():
         yield calls
 
 
-def same_bits(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return [v.hex() for v in a] == [v.hex() for v in b]
+def same_bits(a: float | tuple[float, ...], b: float | tuple[float, ...]) -> bool:
+    """Whether two floats, or two tuples of floats, are equal bit for bit."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return float.hex(a) == float.hex(b)

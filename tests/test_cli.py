@@ -230,6 +230,12 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/path.scn"]) == 2
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.scn"
+        bad.write_bytes(b"beta = 1 # caf\xe9\n")
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8: byte 0xe9 at offset 14\n")
+
     def test_curve_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from hazardsignal import (
     SignalingGame,
     TableHazard,
     group_costs,
+    oracle_verdict,
     posterior_no_signal,
+    solve_equilibrium,
     solve_profile_P,
+    sweep_beta,
 )
 
 from conftest import (
@@ -29,8 +33,11 @@ from conftest import (
     guided_against_plain,
     random_game,
     same_bits,
+    steep_hazard_game,
     table_curves,
 )
+import generator
+import workloads
 
 
 def reference_P(game, profile, lo=0.0, hi=1.0, iterations=200):
@@ -207,6 +214,19 @@ class TestGuidedFixedPoint:
         assert set(guided_points) <= set(plain_points)
         assert len(guided_points) <= 3 and len(plain_points) >= 30
 
+    def test_benchmark_pools_get_the_plain_bits(self):
+        # the benchmark's seed-1 pools: design sweeps, then point and oracle solves
+        pools = [generator.point_pool, generator.oracle_well_pool, generator.oracle_extreme_pool]
+        with guided_against_plain() as calls:
+            for item in generator.design_pool(1):
+                sweep_beta(item.game(), 101)
+            for game in (item.game() for pool in pools for item in pool(1)):
+                rep = solve_equilibrium(game)
+                oracle_verdict(game, rep, workloads.ORACLE_STEP, workloads.ORACLE_EPS)
+        assert calls
+        for guided, plain, _, _ in calls:
+            assert same_bits(guided, plain), (guided, plain)
+
 
 class TestPosterior:
     def test_no_signals_returns_prior(self):
@@ -269,8 +289,6 @@ class TestGroupCosts:
         assert costs.vs_reckless == game.r
 
     def test_high_stakes_point(self):
-        from conftest import steep_hazard_game
-
         game = steep_hazard_game(0.0)  # r = 20, beta*q = 0
         posterior = posterior_no_signal(game, 0.1)
         costs = group_costs(game, 0.1, posterior)
@@ -297,9 +315,10 @@ PROBABILITY_ARGUMENTS = [
     (10**400, "{what} must lie in [0, 1], got " + repr(10**400)),
     (10**5000, "{what} must lie in [0, 1], got <int of 16610 bits>"),
     (-1e-9, "{what} must lie in [0, 1], got -1e-09"),
+    (Fraction(10**5000, 3), "{what} must lie in [0, 1], got <Fraction too long to print>"),
 ]
 PROBABILITY_IDS = ["str", "bytes", "None", "complex", "float32-over", "float32-nan", "nan",
-                   "huge-int", "5000-digit-int", "negative"]
+                   "huge-int", "5000-digit-int", "negative", "5000-digit-fraction"]
 
 
 class TestProbabilityArguments:

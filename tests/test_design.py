@@ -34,9 +34,11 @@ from conftest import (
     all_reckless_game,
     cost_reversal_game,
     random_game,
+    same_bits,
     steep_hazard_game,
     table_curves,
 )
+import generator
 
 
 def no_reach_game(beta: float) -> SignalingGame:
@@ -151,8 +153,6 @@ class TestSweepBeta:
             optimal_beta_social(game, count)
 
     def test_numpy_integer_count(self):
-        import numpy as np
-
         game = cost_reversal_game(0.0)
         assert sweep_beta(game, np.int64(11)) == sweep_beta(game, 11)
         assert optimal_beta_social(game, np.int32(21)) == optimal_beta_social(game, 21)
@@ -163,7 +163,6 @@ class TestSweepBeta:
             rep = solve_equilibrium(with_beta(cost_reversal_game(0.0), rec.beta))
             assert rec.P == rep.P and rec.S == rep.social_cost
             assert rec.region is rep.region
-
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -204,8 +203,6 @@ class TestWithBeta:
             with_beta(game, beta)
 
     def test_numbers_convert_to_float(self):
-        import numpy as np
-
         game = steep_hazard_game(0.5)
         for beta in (1, np.float32(0.25), np.float64(0.75), np.int64(0)):
             changed = with_beta(game, beta).beta
@@ -225,10 +222,6 @@ def public_solve(game, beta):
     return solve_equilibrium(with_beta(game, beta))
 
 
-def same_bits(a: float, b: float) -> bool:
-    return float.hex(a) == float.hex(b)
-
-
 class TestSolveCore:
     """Sweeps and optimizers read the equilibrium core; every value they
     return equals the public solve_equilibrium's at the same beta, bit for bit."""
@@ -237,10 +230,7 @@ class TestSolveCore:
     def test_sweep_records_equal_the_public_solve(self, game):
         for rec in sweep_beta(game, 11):
             ref = SweepRecord.from_report(rec.beta, public_solve(game, rec.beta))
-            assert rec.region is ref.region
-            for field in dataclasses.fields(SweepRecord):
-                if field.name != "region":
-                    assert same_bits(getattr(rec, field.name), getattr(ref, field.name)), field
+            assert record_bits(rec) == record_bits(ref)
 
     @given(design_games())
     def test_optimizers_equal_the_public_solve(self, game):
@@ -418,6 +408,19 @@ class TestSolveMemo:
             assert [record_bits(rec) for rec in sweep_beta(game, grid_n)] == first
             assert len(games_built) == 50
         assert first == [record_bits(rec) for rec in sweep_beta(fresh(game), grid_n)]
+
+
+@pytest.mark.parametrize("item", generator.design_pool(1))
+def test_benchmark_design_pool_bit_for_bit(item):
+    """On the benchmark's seed-1 design pool, 101-point sweeps equal the public
+    solve, repeat their records, and warm design calls equal a fresh game's."""
+    game = item.game()
+    first = sweep_beta(game, 101)
+    for rec in first:
+        ref = SweepRecord.from_report(rec.beta, public_solve(game, rec.beta))
+        assert record_bits(rec) == record_bits(ref), rec.beta
+    assert all(a is b for a, b in zip(first, sweep_beta(game, 101), strict=True))
+    assert design_bits(game, 101) == design_bits(item.game(), 101)
 
 
 class TestSweepInvariants:

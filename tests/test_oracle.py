@@ -32,6 +32,8 @@ from conftest import (
     random_game,
     steep_hazard_game,
 )
+import generator
+import workloads
 
 
 def lattice(bound, step):
@@ -374,3 +376,11 @@ class TestOracleVerdict:
         rep = solve_equilibrium(game)
         v = oracle_verdict(game, rep, np.float32(0.05), np.float32(1e-3))
         assert v.verdict == "agree"
+
+    def test_benchmark_oracle_op_is_the_library_verdict(self):
+        # hsbench/workloads.py::oracle_op repeats the verdict rule; both agree on its seed-1 pools
+        for item in generator.oracle_well_pool(1) + generator.oracle_extreme_pool(1):
+            game = item.game()
+            rep = solve_equilibrium(game)
+            v = oracle_verdict(game, rep, workloads.ORACLE_STEP, workloads.ORACLE_EPS)
+            assert workloads.oracle_op(item) == (v.verdict, len(v.members)), item

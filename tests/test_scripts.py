@@ -65,3 +65,12 @@ def test_missing_scenario_exit_2(script):
     proc = run(script, "no_such_scenario.scn")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "no_such_scenario.scn" in proc.stderr
+
+
+@pytest.mark.parametrize("script", [SWEEP, TRADEOFF], ids=["sweep", "tradeoff"])
+def test_scenario_not_utf8_exit_2(script, tmp_path):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(b"beta = 1 # caf\xe9\n")
+    proc = run(script, bad)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {bad}: not UTF-8: byte 0xe9 at offset 14\n"
