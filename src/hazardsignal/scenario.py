@@ -11,8 +11,9 @@ Grammar (one key per line, '#' starts a comment, keys in any order):
 
 No expressions and no code execution; the analytic families cover the
 usual cases and tables cover everything else. Serialization is canonical
-(fixed key order, 12 significant digits) so emitted scenarios reparse to
-identical games.
+(fixed key order, 12 significant digits): an emitted scenario reparses to
+the identical game when each of its numbers has at most 12 significant
+digits, and to within 12 significant digits otherwise.
 """
 
 from __future__ import annotations
@@ -231,13 +232,15 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file; one that is not UTF-8 raises
-    ScenarioError naming the file and the offset of the first bad byte."""
+    """Read and parse a scenario file; one leading byte-order mark is dropped.
+    A file that is not UTF-8 raises ScenarioError naming the file and the
+    offset of the first bad byte, counted from the start of the file."""
     data = Path(path).read_bytes()
     try:
+        # not "utf-8-sig": its error offsets count from after the mark
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(
             f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}"
         ) from None
-    return parse_scenario(text)
+    return parse_scenario(text.removeprefix("\ufeff"))

@@ -1,9 +1,8 @@
 """Scalar entry points called with Fraction and int arguments.
 
 Each call converts its numbers to Python floats and takes the pure-Python
-path, so running this file must not import numpy. tests/test_numpy_import.py
-runs it in a fresh interpreter, and CI runs it on an interpreter without
-numpy: `PYTHONPATH=src python tests/scalar_calls.py`.
+path, so this file must run where numpy cannot be imported.
+tests/test_numpy_import.py runs it in such an interpreter.
 """
 
 from fractions import Fraction

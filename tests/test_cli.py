@@ -236,6 +236,13 @@ class TestErrorPaths:
         assert main(["solve", str(bad)]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8: byte 0xe9 at offset 14\n")
 
+    def test_file_that_is_not_utf8_after_a_byte_order_mark(self, tmp_path, capsys):
+        # the offset counts from the start of the file, the mark's 3 bytes included
+        bad = tmp_path / "bom-latin1.scn"
+        bad.write_bytes(b"\xef\xbb\xbfbeta = 1 # caf\xe9\n")
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8: byte 0xe9 at offset 17\n")
+
     def test_curve_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text(
@@ -267,6 +274,18 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "solve_equilibrium", boom)
         assert main(["solve", str(ZERO_OPT)]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    """A shipped scenario saved with a UTF-8 byte-order mark prints what it
+    prints without one."""
+    scn = SCENARIO_DIR / "social_cost_reversal.scn"
+    marked = tmp_path / "bom.scn"
+    marked.write_bytes(b"\xef\xbb\xbf" + scn.read_bytes())
+    assert main(["solve", str(scn)]) == 0
+    plain = capsys.readouterr()
+    assert main(["solve", str(marked)]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_recorded_outputs_unchanged(capsys):

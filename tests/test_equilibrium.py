@@ -14,6 +14,7 @@ from hazardsignal import (
     ConstantReach,
     DegenerateSignalError,
     LinearReach,
+    LogicError,
     PowerHazard,
     Region,
     SignalingGame,
@@ -24,6 +25,7 @@ from hazardsignal import (
     solve_profile_P,
     with_beta,
 )
+from hazardsignal import equilibrium
 
 from conftest import (
     adoption_backfire_game,
@@ -122,6 +124,17 @@ class TestSolveEquilibrium:
         assert classify_region(game) is Region.NCVI
         with pytest.raises(DegenerateSignalError, match="reaches 1 in region NCVI"):
             solve_equilibrium(game)
+
+    def test_closed_form_outside_its_range_is_a_logic_error(self, monkeypatch):
+        # the backfire game is NCVR at full quality; forced into NIVR, its
+        # closed-form non-V2V mass goes negative
+        monkeypatch.setattr(equilibrium, "classify_region", lambda game: Region.NIVR)
+        with pytest.raises(LogicError) as info:
+            solve_equilibrium(adoption_backfire_game(1.0))
+        assert str(info.value) == (
+            "non-V2V reckless mass -0.21775 escapes [0, 0.1] in region NIVR; "
+            "closed form disagrees with its range condition"
+        )
 
 
 #: one game per row as (beta, y, r, hazard family, its parameters, reach

@@ -457,6 +457,16 @@ class TestGameValidation:
             SignalingGame(0.5, 0.5, 3.0, *curves)
         assert str(info.value) == message
 
+    def test_signal_rate_outside_the_unit_interval_rejected(self):
+        # the built-in reaches stay inside [0, 1]; a subclass need not
+        class OverReach(LinearReach):
+            def __call__(self, y):
+                return 2.0
+
+        with pytest.raises(ParameterError) as info:
+            SignalingGame(1.0, 0.9, 3.0, AffineHazard(0.3, 0.1), OverReach(0.9))
+        assert str(info.value) == "derived signal rate beta*q(y) = 2.0 escapes [0, 1]"
+
     def test_signal_rate(self):
         game = SignalingGame(
             beta=0.5, y=0.9, r=3.0, hazard=AffineHazard(0.3, 0.1), signal_reach=LinearReach(0.9)
