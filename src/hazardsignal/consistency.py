@@ -10,8 +10,10 @@ profile this closes into a one-dimensional fixed point
 whose left side rises from p(0) to p(1) while the right side is
 nonincreasing in P, so the solution is unique and bisection converges
 unconditionally. Each hazard family solves it in model, by its
-_fixed_point on model._gap; solve_profile_P only checks the profile and
-derives the signal quantities from P.
+_fixed_point on model._gap. solve_profile_P is the checked entry point for
+profiles from outside (the oracle, users): it checks the profile and derives
+the signal quantities from P. equilibrium's core calls _fixed_point itself,
+on corner profiles it builds.
 
 posterior_no_signal and group_costs take any real probability within
 1e-12 of [0, 1] as a clamped Python float (model._number).

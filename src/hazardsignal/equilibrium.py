@@ -16,9 +16,10 @@ Signaled V2V drivers are always careful, so x_vs = 0 throughout. Region
 conditions can overlap only where their closed forms agree, so the
 classification priority below never changes the reported probability.
 
-solve_equilibrium wraps a private core, _solve, that returns the same
-values in design.SweepRecord's field order; design's beta sweeps and
-optimizers call the core and build no report, profile or cost table per beta.
+solve_equilibrium wraps a private core, _solve: one branch per region
+sets the profile and P, then Q and the posterior follow from P once. It
+returns design.SweepRecord's field order, so design's beta sweeps and
+optimizers build no report, profile or cost table per beta.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import enum
 from dataclasses import dataclass
 
 from .model import BehaviorProfile, ModelError, SignalingGame
-from .consistency import DegenerateSignalError, posterior_no_signal, solve_profile_P
+from .consistency import DegenerateSignalError, posterior_no_signal
 from .consistency import _SHARE_MIN
 
 __all__ = [
@@ -124,36 +125,35 @@ def _solve(game: SignalingGame) -> tuple[Region, float, float, float, float, flo
     That is design.SweepRecord's field order after beta, so design builds
     each beta's record straight from this tuple and no report, profile or
     GroupCosts is made for a beta it discards. The game itself is still
-    built and validated per beta. S is group_costs' cost table summed in
-    the same operand order, so it matches the report's social_cost bit for
-    bit; x_vs is always 0.
+    built and validated per beta. NCVR and NRVR call the hazard's
+    _fixed_point with no profile check, which their corner profiles pass.
+    S is group_costs' cost table summed in the same operand order, so it
+    matches the report's social_cost bit for bit; x_vs is always 0.
     """
     region = classify_region(game)
     p, y, r, rate = game.hazard, game.y, game.r, game.signal_rate
-
-    if region is Region.NCVR or region is Region.NRVR:
-        x_n, x_vu = (1.0 - y if region is Region.NRVR else 0.0), y
-        res = solve_profile_P(game, BehaviorProfile(x_n, x_vu, 0.0))
-        P, Q, posterior = res.P, res.Q, res.posterior_no_signal
+    if region is Region.NCVC:
+        x_n, x_vu, P = 0.0, 0.0, p.floor
+    elif region is Region.NCVI:
+        P = game.t_unsignaled
+        share = 1.0 - rate * P
+        if share <= _SHARE_MIN:
+            raise DegenerateSignalError(
+                "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined"
+            )
+        x_n = 0.0
+        x_vu = _bounded(p.inverse(P) / share, 0.0, y, "unsignaled V2V reckless mass", region)
+    elif region is Region.NIVR:
+        P = game.t_prior
+        x_n = p.inverse(P) - (1.0 - rate * P) * y
+        x_n = _bounded(x_n, 0.0, 1.0 - y, "non-V2V reckless mass", region)
+        x_vu = y
     else:
-        if region is Region.NCVC:
-            x_n, x_vu, P = 0.0, 0.0, p.floor
-        elif region is Region.NCVI:
-            P = game.t_unsignaled
-            share = 1.0 - rate * P
-            if share <= _SHARE_MIN:
-                raise DegenerateSignalError(
-                    "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined"
-                )
-            x_n = 0.0
-            x_vu = _bounded(p.inverse(P) / share, 0.0, y, "unsignaled V2V reckless mass", region)
-        else:
-            P = game.t_prior
-            x_n = p.inverse(P) - (1.0 - rate * P) * y
-            x_n = _bounded(x_n, 0.0, 1.0 - y, "non-V2V reckless mass", region)
-            x_vu = y
-        Q = P * rate
-        posterior = posterior_no_signal(game, P)
+        # NCVR and NRVR: the consistency fixed point at the region's corner profile
+        x_n, x_vu = (1.0 - y if region is Region.NRVR else 0.0), y
+        P = p._fixed_point(x_n, x_vu, rate)[0]
+    Q = P * rate
+    posterior = posterior_no_signal(game, P)
 
     # group_costs' clamps and cost table, summed in its order; signaled V2V
     # drivers act on certainty and incur no cost either way

@@ -8,9 +8,9 @@ keeps the brute-force search usable as a cross-check of the analytic
 solver, and oracle_verdict holds a claimed equilibrium against it.
 
 A single profile's check solves for that probability. The scan does not:
-each implication is a bound on it, and the consistency map is strictly
-increasing with its root there, so the map's sign at the bound decides the
-implication with one curve call for the whole lattice.
+each implication is a bound c on it, and the probability is at least c
+exactly when the clamped curve at P = c reads at least c (_hazard_at), so
+one curve call decides the implication for the whole lattice.
 
 Only the eps-equilibrium scan works on arrays, so only its functions import
 numpy; importing this module does not.
@@ -143,7 +143,7 @@ def epsilon_equilibria(
     is interior even though one always exists; the crossing candidates
     close that hole without consulting any closed form.
 
-    Membership is the sign of the consistency map at each active
+    Membership is one clamped curve evaluation at each active
     implication's bound on P (see _member_mask), not a per-point solve.
     x_vs > 0 is excluded analytically: signaled drivers strictly prefer
     caution (margin r > eps for any sane eps), so such profiles can never
@@ -257,17 +257,17 @@ def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _consistency_map(game: SignalingGame, P, x_n, x_vu) -> np.ndarray:
-    """F(P) = P - p(x_n + (1 - P*rate)*x_vu), element-wise over the masses.
+def _hazard_at(game: SignalingGame, mass) -> np.ndarray:
+    """p(mass), element-wise, with each reckless mass clamped to [0, 1].
 
-    Strictly increasing in P, with its root at the profile's consistent
-    accident probability P*: so P* >= c exactly when F(c) <= 0, and
-    P* <= c exactly when F(c) >= 0.
+    At a profile's mass x_n + (1 - c*rate)*x_vu for P = c, p >= c exactly
+    when its consistent accident probability P* >= c, and p <= c exactly
+    when P* <= c: the gap P - p(...) rises strictly in P with its root at P*.
     """
     import numpy as np
 
-    arg = x_n + (1.0 - P * game.signal_rate) * x_vu
-    return P - game.hazard._eval(np.clip(arg, 0.0, 1.0))
+    # not np.clip, whose dispatch costs about twice as much on the scan's small arrays
+    return game.hazard._eval(np.minimum(np.maximum(mass, 0.0), 1.0))
 
 
 def _member_mask(
@@ -280,17 +280,17 @@ def _member_mask(
     lo while some of the group is careful, hi while some is reckless. The
     non-V2V belief is P itself. The unsignaled posterior a = P(1-rate)/(1-P*rate)
     rises with P, so its bound maps to P = a/(1 - rate + a*rate). Each active
-    bound is then one sign test of F; the signaled pair always holds at
-    x_vs = 0, where caution is in use with margin r.
+    bound is then one comparison of _hazard_at with it; the signaled pair
+    always holds at x_vs = 0, where caution is in use with margin r.
     """
     y, rate = game.y, game.signal_rate
     lo, hi = (1.0 - eps) / (1.0 + game.r), (1.0 + eps) / (1.0 + game.r)
 
     def at_least(c: float) -> np.ndarray:
-        return _consistency_map(game, c, xs, vus) <= 0.0
+        return _hazard_at(game, xs + (1.0 - c * rate) * vus) >= c
 
     def at_most(c: float) -> np.ndarray:
-        return _consistency_map(game, c, xs, vus) >= 0.0
+        return _hazard_at(game, xs + (1.0 - c * rate) * vus) <= c
 
     if rate < 1.0:
         # a belief bound of 0 or less holds at any P, and so does P >= 0
@@ -320,17 +320,16 @@ def _gap_crossings(
 
     The sign test avoids nesting a full fixed-point solve per bisection
     step: with threshold t for the group's belief, P* < t exactly when
-    F(t) > 0 (see _consistency_map), that is when p(x_n + (1 - t*rate)*x_vu)
-    < t, one curve evaluation. (For the unsignaled group the posterior is
-    increasing in P, which moves its 1/(1+r) threshold to
-    t = 1/(1 + r(1 - rate)) in P-space.) On each line that mass is affine
-    in the moving mass m, coef*m + const: coef = 1 and const = (1 - t*rate)*x_vu
-    while x_n moves, coef = 1 - t*rate and const = x_n while x_vu moves. Both
-    are computed once per line, so a halving only clamps coef*m + const to
-    [0, 1] and tests p >= t through the unchecked _eval. That decides each
-    step exactly as the sign of F(t) would: 1*m is exact, addition commutes,
-    and for finite floats t - p > 0 holds exactly when p < t. Crossings are
-    only candidates; membership is still decided by _member_mask.
+    p(x_n + (1 - t*rate)*x_vu) < t (see _hazard_at), one curve evaluation.
+    (For the unsignaled group the posterior is increasing in P, which moves
+    its 1/(1+r) threshold to t = 1/(1 + r(1 - rate)) in P-space.) On each
+    line that mass is affine in the moving mass m, coef*m + const: coef = 1
+    and const = (1 - t*rate)*x_vu while x_n moves, coef = 1 - t*rate and
+    const = x_n while x_vu moves. Both are computed once per line, so a
+    halving only evaluates _hazard_at(coef*m + const) against t; 1*m is
+    exact and addition commutes, so each step reads the same mass as
+    _member_mask would. Crossings are only candidates; membership is still
+    decided by _member_mask.
     """
     import numpy as np
 
@@ -342,11 +341,10 @@ def _gap_crossings(
     scale = 1.0 - t * rate
     coef = np.where(moves_n, 1.0, scale)
     const = np.where(moves_n, scale * fixed, fixed)
-    p = game.hazard._eval
 
     def reached(m, coef, const, t) -> np.ndarray:
         """True in the lines whose gap is <= 0 at moving mass m."""
-        return p(np.minimum(np.maximum(coef * m + const, 0.0), 1.0)) >= t
+        return _hazard_at(game, coef * m + const) >= t
 
     sign_change = ~reached(0.0, coef, const, t) & reached(bound, coef, const, t)
     if not np.any(sign_change):

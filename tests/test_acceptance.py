@@ -11,8 +11,8 @@ import time
 from hazardsignal import (
     Region,
     classify_region,
-    epsilon_equilibria,
     optimal_beta_accidents,
+    oracle_verdict,
     posterior_no_signal,
     single_peaked,
     solve_equilibrium,
@@ -105,15 +105,9 @@ def test_criterion_4_oracle_equivalence():
         rng = random.Random(20260808)
         for trial in range(200):
             game = random_game(rng)
-            rep = solve_equilibrium(game)
-            found = epsilon_equilibria(game, grid_step=0.01, eps=1e-3)
-            assert found.members, (trial, game)
-            star_mass = rep.x_ne.x_n + (1.0 - rep.Q) * rep.x_ne.x_vu
-            for member in found.members:
-                res = solve_profile_P(game, member)
-                mass = member.x_n + (1.0 - res.Q) * member.x_vu
-                assert abs(mass - star_mass) <= 0.03, (trial, game, member)
-                assert abs(res.P - rep.P) <= 0.02, (trial, game, member)
+            # agreement is within 3 grid steps (0.03) of reckless mass and 2 (0.02) of P
+            found = oracle_verdict(game, solve_equilibrium(game), grid_step=0.01, eps=1e-3)
+            assert found.verdict == "agree", (trial, game, found.mass_dev, found.P_dev)
 
 
 def test_criterion_5_invariant_suites():

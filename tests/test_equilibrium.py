@@ -32,9 +32,12 @@ from conftest import (
     all_reckless_game,
     cost_reversal_game,
     random_game,
+    same_bits,
     steep_hazard_game,
     table_curves,
 )
+
+import generator
 
 
 class TestClassifyRegion:
@@ -102,13 +105,23 @@ class TestSolveEquilibrium:
         assert rep.x_ne.x_vu == 0.3
 
     def test_reports_are_internally_consistent(self):
+        # the core solves NCVR and NRVR by the hazard's own _fixed_point, so
+        # there solve_profile_P at the reported profile gives the same bits
         rng = random.Random(500)
-        for _ in range(60):
-            game = random_game(rng)
+        games = [random_game(rng) for _ in range(2000)]
+        games += [item.game() for item in generator.point_pool(1)]
+        fixed_point = 0
+        for game in games:
             rep = solve_equilibrium(game)
             assert rep.Q == pytest.approx(rep.P * game.signal_rate, abs=1e-12)
             res = solve_profile_P(game, rep.x_ne)
-            assert res.P == pytest.approx(rep.P, abs=1e-9)
+            if rep.region in (Region.NCVR, Region.NRVR):
+                got = (res.P, res.Q, res.posterior_no_signal)
+                assert same_bits(got, (rep.P, rep.Q, rep.posterior)), (game, rep, got)
+                fixed_point += 1
+            else:
+                assert res.P == pytest.approx(rep.P, abs=1e-9)
+        assert fixed_point >= 100
 
     def test_near_certain_signal_of_a_rising_near_certain_accident(self):
         # p is not flat (p(0) < p(1)), yet at the NCVI indifference point

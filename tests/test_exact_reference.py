@@ -10,11 +10,16 @@ A table hazard is linear on each segment between its knots and flat past
 its end knots, so its fixed point is that closed form on the one piece that
 holds its own mass, and its inverse is d_j + (v - v_j)/s_j on the segment
 that holds v, both exact in rationals.
+
+A power hazard p(d) = d**k has no closed-form fixed point, so its reference
+is a bisection in 50-digit decimal arithmetic (the standard library's
+decimal, not mpmath, which the package does not depend on).
 """
 
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -22,6 +27,7 @@ from hypothesis import given, strategies as st
 from hazardsignal import (
     AffineHazard,
     BehaviorProfile,
+    PowerHazard,
     Region,
     classify_region,
     solve_equilibrium,
@@ -43,12 +49,12 @@ def exact_affine_P(game, profile) -> Fraction:
     return (a * (x_n + x_vu) + b) / (1 + a * rho * x_vu)
 
 
-def affine_fixed_point_games(seed: int, count: int):
-    """The first count random_game draws with an affine hazard in NCVR or NRVR."""
+def fixed_point_games(family, seed: int, count: int):
+    """The first count random_game draws with a family hazard in NCVR or NRVR."""
     rng = random.Random(seed)
     while count:
         game = random_game(rng)
-        if isinstance(game.hazard, AffineHazard) and classify_region(game) in (
+        if isinstance(game.hazard, family) and classify_region(game) in (
             Region.NCVR,
             Region.NRVR,
         ):
@@ -58,7 +64,7 @@ def affine_fixed_point_games(seed: int, count: int):
 
 def test_exact_reference_is_a_fixed_point():
     # the formula solves the linear equation exactly, not only to float precision
-    for game, rep in affine_fixed_point_games(seed=3, count=200):
+    for game, rep in fixed_point_games(AffineHazard, seed=3, count=200):
         P = exact_affine_P(game, rep.x_ne)
         a, b = Fraction(game.hazard.slope), Fraction(game.hazard.intercept)
         rho = Fraction(game.signal_rate)
@@ -67,7 +73,7 @@ def test_exact_reference_is_a_fixed_point():
 
 
 def test_affine_fixed_point_within_bisection_bound():
-    for game, rep in affine_fixed_point_games(seed=11, count=3000):
+    for game, rep in fixed_point_games(AffineHazard, seed=11, count=3000):
         error = abs(Fraction(rep.P) - exact_affine_P(game, rep.x_ne))
         assert error <= FIXED_POINT_BOUND, (game, rep.region, float(error))
 
@@ -159,3 +165,44 @@ def test_table_inverse_within_bisection_bound(curve, ts):
     for v in targets:
         error = abs(Fraction(curve.inverse(v)) - exact_table_inverse(curve, v))
         assert error <= bound, (curve.knots, v, float(error), bound)
+
+
+#: the power reference's working precision and the width of its final bracket
+DIGITS = 50
+REFERENCE_WIDTH = Decimal(10) ** -30
+
+
+def exact_power_P(game, profile) -> tuple[Decimal, Decimal]:
+    """A bracket [lo, hi] around the fixed point P = m(P)**k of a power game,
+    m(P) = x_n + (1 - P·ρ)·x_vu clamped to [0, 1], bisected in decimal with
+    every float parameter read as the number it is."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        k, rho = Decimal(game.hazard.exponent), Decimal(game.signal_rate)
+        x_n, x_vu = Decimal(profile.x_n), Decimal(profile.x_vu)
+        lo, hi = Decimal(0), Decimal(1)
+        while hi - lo > REFERENCE_WIDTH:
+            mid = (lo + hi) / 2
+            mass = min(max(x_n + (1 - mid * rho) * x_vu, Decimal(0)), Decimal(1))
+            if mid > mass**k:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+
+def power_fixed_point_bound(game) -> float:
+    """FIXED_POINT_BOUND plus E, the bound on one gap evaluation's rounding
+    that PowerHazard._fixed_point guides its bisection by (see its docstring)."""
+    k, rate = game.hazard.exponent, game.signal_rate
+    return FIXED_POINT_BOUND + ROUNDING * (3.0 + k * (3.0 + rate / (1.0 - rate)))
+
+
+def test_power_fixed_point_within_bisection_bound():
+    # random_game draws exponents in [0.3, 3] and no signal rate within a few
+    # ulp of 1, where E's first-order rounding bound would not be trusted
+    for game, rep in fixed_point_games(PowerHazard, seed=13, count=150):
+        lo, hi = exact_power_P(game, rep.x_ne)
+        P = Decimal(rep.P)
+        error = max(abs(P - lo), abs(P - hi))
+        assert error <= Decimal(power_fixed_point_bound(game)), (game, rep.region, float(error))
