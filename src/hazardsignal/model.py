@@ -10,25 +10,25 @@ three driver groups: non-V2V, unsignaled V2V, and signaled V2V.
 All types are immutable and validated at construction; curves and games
 also store their parameters there as Python floats. Every operation is a
 pure function, so everything here is safe for concurrent use. The only
-mutable state is two caches in instance __dict__s: design's memo of solved
-signal qualities on each SignalingGame, and a TableHazard's numpy knot
-arrays, built on its first array call. Concurrent callers at worst both
+mutable state is one cache in an instance __dict__: design's memo of solved
+signal qualities on each SignalingGame. Concurrent callers at worst both
 build the same entry, with identical bits.
 
-Curve evaluation accepts scalars or numpy arrays. A Python float argument is
-evaluated in pure Python, without numpy's per-call overhead, because the
-scalar solvers call curves tens of times per solve; a table curve's scalar
-path reproduces np.interp bit for bit, and arrays go through numpy. numpy
-is imported only by those array branches, so scalar work never loads it.
+A curve takes one number and returns one float, in pure Python: the solvers
+call curves tens of times per solve, one mass at a time. An array or a list
+is refused like any other non-number, and this module never imports numpy.
+The oracle's scan is the one place that evaluates curves on arrays (see
+oracle._hazard_at); a table's scalar path reproduces np.interp bit for bit,
+so the scan and the solvers read the same table.
 
 Numbers follow one rule where they enter the package: any finite real
 (int, bool, float, numpy scalar, Fraction) converts once to a Python float
 through _float, anything else is refused, not converted, and _number adds
 a range check that clamps overshoot (UNIT_SLACK for curve arguments and
-inverse targets, 1e-12 for probabilities). A curve's __call__ runs _unit,
+inverse targets, 1e-12 for probabilities). A curve's __call__ runs _number,
 then the family's _eval, which checks nothing; the inner loops (the
-fixed-point bisection, the table inverse, region classification and the
-oracle's sign tests) call _eval directly, so no loop step pays for a check.
+fixed-point bisection, the table inverse and region classification) call
+_eval directly, so no loop step pays for a check.
 
 Both scalar bisections (the table inverse and the consistency fixed point)
 are guided by a guess of their root and a margin around it. The guess only
@@ -45,7 +45,6 @@ steps (PowerHazard._fixed_point).
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -172,28 +171,6 @@ def _show(v) -> str:
         return f"<{type(v).__name__} too long to print>"
 
 
-def _unit(x, what: str):
-    """Validate x in [0, 1] (scalar or array), clamping float overshoot.
-
-    A number, text or None goes through _number; anything else must be an
-    array of booleans, integers or floats. Object and text arrays are refused.
-    """
-    if type(x) is float and 0.0 <= x <= 1.0:
-        return x
-    if _real(x) or x is None or isinstance(x, (str, bytes)):
-        return _number(x, what, 0.0, 1.0, UNIT_SLACK)
-    import numpy as np
-
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "biuf":
-        raise InputError(f"{what} must be a number or an array of numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
-    # min and max propagate NaN, which then fails the comparison
-    if arr.size and not (arr.min() >= -UNIT_SLACK and arr.max() <= 1.0 + UNIT_SLACK):
-        raise InputError(f"{what} must lie in [0, 1]")
-    return np.clip(arr, 0.0, 1.0)
-
-
 def _bisect(
     f, lo: float, hi: float, guess: float = math.nan, margin: float = math.inf
 ) -> tuple[float, float]:
@@ -313,7 +290,7 @@ class AffineHazard:
         return min(self.slope + self.intercept, 1.0)
 
     def __call__(self, d):
-        return self._eval(_unit(d, "reckless mass"))
+        return self._eval(_number(d, "reckless mass", 0.0, 1.0, UNIT_SLACK))
 
     def _eval(self, d):
         return self.slope * d + self.intercept
@@ -353,7 +330,7 @@ class PowerHazard:
         return 1.0
 
     def __call__(self, d):
-        return self._eval(_unit(d, "reckless mass"))
+        return self._eval(_number(d, "reckless mass", 0.0, 1.0, UNIT_SLACK))
 
     def _eval(self, d):
         return d ** self.exponent
@@ -442,10 +419,10 @@ class TableHazard:
     """Piecewise-linear hazard through (mass, probability) knots.
 
     Knots must start at d = 0, end at d = 1, and increase strictly in both
-    coordinates, with probabilities staying inside [0, 1]. A Python float
-    is evaluated in pure Python with np.interp's rules and formula, so it
-    gets the same value bit for bit; arrays use np.interp itself on the same
-    knot coordinates, so the order of scalar and array calls never matters.
+    coordinates, with probabilities staying inside [0, 1]. A mass is
+    evaluated in pure Python with np.interp's rules and formula, so it gets
+    np.interp's value on the knot coordinates bit for bit, as the oracle's
+    scan reads the table.
 
     Inversion is by bisection to BISECT_TOL in value space, guided by the
     closed form d_j + (v - v_j)/slope_j on the segment that holds v: every
@@ -457,8 +434,10 @@ class TableHazard:
     ends. Where the guess's own segment holds the margin BISECT_TOL / slope_j
     (plus rounding) on both sides, or [0, 1] ends within it, that segment's
     margin is used instead: a steep segment next to a shallow one would
-    otherwise evaluate every midpoint of a wide margin. The analytic
-    families above invert in closed form instead.
+    otherwise evaluate every midpoint of a wide margin. On a segment flatter
+    than BISECT_TOL / GROUP_SLACK (1e-3) the bisection may stop farther than
+    GROUP_SLACK from the closed form, past a small group's size; the clamped
+    closed form is returned then. The analytic families invert in closed form.
 
     _pieces lists the segments and the flat ends for the consistency fixed
     point's closed-form guess (see _linear_pieces); that guess is safe
@@ -519,21 +498,9 @@ class TableHazard:
         return self.knots[-1][1]
 
     def __call__(self, d):
-        return self._eval(_unit(d, "reckless mass"))
-
-    @functools.cached_property
-    def _knot_arrays(self):
-        # built on the first array call, so the scalar path never imports numpy
-        import numpy as np
-
-        return np.array(self._ds), np.array(self._vs)
+        return self._eval(_number(d, "reckless mass", 0.0, 1.0, UNIT_SLACK))
 
     def _eval(self, d):
-        if type(d) is not float:
-            import numpy as np
-
-            out = np.interp(d, *self._knot_arrays)
-            return float(out) if np.ndim(out) == 0 else out
         # np.interp's branches: below the first knot, at or past the last knot,
         # exactly on a knot (no slope, which may be inf), inside a segment
         ds = self._ds
@@ -559,7 +526,8 @@ class TableHazard:
             and (above + _ROUNDING <= ds[j + 1] or above >= 1.0)
         ):
             margin = self._inverse_margin
-        return _bisect(lambda d: self._eval(d) - v, 0.0, 1.0, guess, margin)[0]
+        d = _bisect(lambda d: self._eval(d) - v, 0.0, 1.0, guess, margin)[0]
+        return d if abs(d - guess) <= GROUP_SLACK else min(max(guess, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -577,7 +545,7 @@ class LinearReach:
         object.__setattr__(self, "slope", slope)
 
     def __call__(self, y):
-        return self.slope * _unit(y, "penetration")
+        return self.slope * _number(y, "penetration", 0.0, 1.0, UNIT_SLACK)
 
 
 @dataclass(frozen=True)
@@ -593,12 +561,8 @@ class ConstantReach:
         object.__setattr__(self, "value", value)
 
     def __call__(self, y):
-        y = _unit(y, "penetration")
-        if isinstance(y, float):
-            return self.value
-        import numpy as np
-
-        return np.full_like(y, self.value)
+        _number(y, "penetration", 0.0, 1.0, UNIT_SLACK)
+        return self.value
 
 
 HazardCurve = AffineHazard | PowerHazard | TableHazard

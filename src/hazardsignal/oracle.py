@@ -12,17 +12,19 @@ each implication is a bound c on it, and the probability is at least c
 exactly when the clamped curve at P = c reads at least c (_hazard_at), so
 one curve call decides the implication for the whole lattice.
 
-Only the eps-equilibrium scan works on arrays, so only its functions import
-numpy; importing this module does not.
+Only the eps-equilibrium scan works on arrays, curves included (_hazard_at),
+so only its functions import numpy; importing this module does not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import MAX_GRID_POINTS, BehaviorProfile, InputError, SignalingGame, _float, _show
+from .model import MAX_GRID_POINTS, BehaviorProfile, InputError, SignalingGame, TableHazard
+from .model import _float, _show
 from .consistency import solve_profile_P
 
 if TYPE_CHECKING:
@@ -257,17 +259,22 @@ def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _hazard_at(game: SignalingGame, mass) -> np.ndarray:
-    """p(mass), element-wise, with each reckless mass clamped to [0, 1].
+def _hazard_at(game: SignalingGame):
+    """mass -> p(mass) on arrays, each reckless mass clamped to [0, 1].
 
     At a profile's mass x_n + (1 - c*rate)*x_vu for P = c, p >= c exactly
     when its consistent accident probability P* >= c, and p <= c exactly
     when P* <= c: the gap P - p(...) rises strictly in P with its root at P*.
+    A table is np.interp on its knot coordinates, which TableHazard._eval
+    reproduces bit for bit; affine and power _eval formulas take arrays.
     """
     import numpy as np
 
+    hazard, p = game.hazard, game.hazard._eval
+    if isinstance(hazard, TableHazard):
+        p = functools.partial(np.interp, xp=np.array(hazard._ds), fp=np.array(hazard._vs))
     # not np.clip, whose dispatch costs about twice as much on the scan's small arrays
-    return game.hazard._eval(np.minimum(np.maximum(mass, 0.0), 1.0))
+    return lambda mass: p(np.minimum(np.maximum(mass, 0.0), 1.0))
 
 
 def _member_mask(
@@ -283,14 +290,14 @@ def _member_mask(
     bound is then one comparison of _hazard_at with it; the signaled pair
     always holds at x_vs = 0, where caution is in use with margin r.
     """
-    y, rate = game.y, game.signal_rate
+    y, rate, p = game.y, game.signal_rate, _hazard_at(game)
     lo, hi = (1.0 - eps) / (1.0 + game.r), (1.0 + eps) / (1.0 + game.r)
 
     def at_least(c: float) -> np.ndarray:
-        return _hazard_at(game, xs + (1.0 - c * rate) * vus) >= c
+        return p(xs + (1.0 - c * rate) * vus) >= c
 
     def at_most(c: float) -> np.ndarray:
-        return _hazard_at(game, xs + (1.0 - c * rate) * vus) <= c
+        return p(xs + (1.0 - c * rate) * vus) <= c
 
     if rate < 1.0:
         # a belief bound of 0 or less holds at any P, and so does P >= 0
@@ -342,9 +349,11 @@ def _gap_crossings(
     coef = np.where(moves_n, 1.0, scale)
     const = np.where(moves_n, scale * fixed, fixed)
 
+    p = _hazard_at(game)
+
     def reached(m, coef, const, t) -> np.ndarray:
         """True in the lines whose gap is <= 0 at moving mass m."""
-        return _hazard_at(game, coef * m + const) >= t
+        return p(coef * m + const) >= t
 
     sign_change = ~reached(0.0, coef, const, t) & reached(bound, coef, const, t)
     if not np.any(sign_change):

@@ -119,25 +119,64 @@ def adversarial_tables(draw):
 
 
 @st.composite
+def extreme_affine(draw):
+    """Affine hazards with slopes from 1e-300 up to 1, intercept at either end or between."""
+    slope = min(10.0 ** draw(st.floats(-300.0, 0.0)), 1.0)
+    intercept = draw(st.sampled_from([0.0, 1.0 - slope, 0.5 * (1.0 - slope)]))
+    return AffineHazard(slope, max(intercept, 0.0))
+
+
+#: power exponents 0.02-50, log-uniform
+extreme_exponents = st.floats(math.log10(0.02), math.log10(50.0)).map(
+    lambda e: min(max(10.0 ** e, 0.02), 50.0)
+)
+
+#: signal rates anywhere in [0, 1 - 1e-12], within 1e-1 .. 1e-12 of 1, or exactly 1
+extreme_rates = st.one_of(
+    st.floats(0.0, 1.0 - 1e-12),
+    st.floats(1.0, 12.0).map(lambda e: 1.0 - 10.0 ** -e),
+    st.just(1.0),
+)
+
+
+@st.composite
 def extreme_power(draw):
     """Power-hazard games at the extremes of the fixed point's Newton guess:
-    exponents 0.02-50, y in [0.02, 0.98], r up to 1e4, and a signal rate
-    anywhere in [0, 1 - 1e-12], within 1e-1 .. 1e-12 of 1, or exactly 1."""
-    exponent = min(max(10.0 ** draw(st.floats(math.log10(0.02), math.log10(50.0))), 0.02), 50.0)
-    rate = draw(
-        st.one_of(
-            st.floats(0.0, 1.0 - 1e-12),
-            st.floats(1.0, 12.0).map(lambda e: 1.0 - 10.0 ** -e),
-            st.just(1.0),
-        )
-    )
+    exponents 0.02-50, y in [0.02, 0.98], r up to 1e4, and any extreme_rates."""
+    exponent = draw(extreme_exponents)
     return SignalingGame(
-        beta=rate,
+        beta=draw(extreme_rates),
         y=draw(st.floats(0.02, 0.98)),
         r=draw(st.floats(1.01, 1e4)),
         hazard=PowerHazard(exponent),
         signal_reach=ConstantReach(1.0),
     )
+
+
+@st.composite
+def extreme_game(draw):
+    """Games at every extreme the model admits: an extreme_affine,
+    adversarial table or extreme power hazard; y at 0, 1e-12, 1 - 1e-12, 1
+    or anywhere; r from 1 + 1e-12 to 1e12; a signal rate of 0 or any
+    extreme_rates."""
+    hazard = draw(
+        st.one_of(extreme_affine(), adversarial_tables(), extreme_exponents.map(PowerHazard))
+    )
+    return SignalingGame(
+        beta=draw(st.one_of(st.just(0.0), extreme_rates)),
+        y=draw(st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0))),
+        r=1.0 + 10.0 ** draw(st.floats(-12.0, 12.0)),
+        hazard=hazard,
+        signal_reach=ConstantReach(1.0),
+    )
+
+
+def knot_points(curve, points) -> list[float]:
+    """points, plus a table's knot masses and both float neighbours of each,
+    and the ends 0 and 1: where np.interp's branches meet."""
+    ds = [d for d, _ in getattr(curve, "knots", ())]
+    neighbours = [math.nextafter(d, side) for d in ds for side in (-math.inf, math.inf)]
+    return [*points, *ds, *neighbours, 0.0, 1.0]
 
 
 def knot_targets(curve) -> list[float]:

@@ -29,6 +29,7 @@ from hazardsignal import (
 from conftest import (
     adoption_backfire_game,
     adversarial_tables,
+    extreme_affine,
     extreme_power,
     guided_against_plain,
     random_game,
@@ -117,14 +118,6 @@ class TestSolveProfileP:
             assert game.hazard.floor - 1e-12 <= res.P <= game.hazard.ceiling + 1e-12
             assert res.residual <= 1e-12
             assert res.posterior_no_signal <= res.P + 1e-12
-
-
-@st.composite
-def extreme_affine(draw):
-    """Affine hazards with slopes from 1e-300 up to 1, intercept at either end or between."""
-    slope = min(10.0 ** draw(st.floats(-300.0, 0.0)), 1.0)
-    intercept = draw(st.sampled_from([0.0, 1.0 - slope, 0.5 * (1.0 - slope)]))
-    return AffineHazard(slope, max(intercept, 0.0))
 
 
 def solved_profiles(game, a, b):

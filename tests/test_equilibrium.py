@@ -1,13 +1,14 @@
 """Region classification, closed-form equilibria, and their invariants."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hazardsignal import (
     AffineHazard,
@@ -31,6 +32,7 @@ from conftest import (
     adoption_backfire_game,
     all_reckless_game,
     cost_reversal_game,
+    extreme_game,
     random_game,
     same_bits,
     steep_hazard_game,
@@ -190,6 +192,40 @@ def stored_numbers(game) -> list:
             v = getattr(curve, field.name)
             out += [c for knot in v for c in knot] if field.name == "knots" else [v]
     return out
+
+
+#: DegenerateSignalError's two messages, from posterior_no_signal and the NCVI branch
+DEGENERATE_MESSAGES = (
+    "beta*q(y) = 1 with a certain accident leaves the no-signal posterior undefined",
+    "beta*q(y) * P reaches 1 in region NCVI: the no-signal posterior is undefined",
+)
+
+
+class TestExtremeGames:
+    @settings(max_examples=500)
+    @given(extreme_game())
+    # NCVI on tables flatter than 1e-3, where a bisected inverse may stop up to
+    # BISECT_TOL/slope from the mass, past the V2V group's size
+    @example(SignalingGame(0.0, 0.0, 2.0, TableHazard(((0.0, 1 / 3), (1.0, 1 / 3 + 1e-6))),
+                           ConstantReach(1.0)))
+    @example(SignalingGame(0.0, 1e-6, 1e12 + 1.0, TableHazard(((0.0, 0.0), (1.0, 1e-6))),
+                           ConstantReach(1.0)))
+    def test_solve_reports_a_valid_equilibrium_or_a_documented_error(self, game):
+        """Every extreme game either raises DegenerateSignalError with one of its
+        messages or reports masses, probabilities and a cost in their ranges,
+        under the label classify_region gives."""
+        try:
+            rep = solve_equilibrium(game)
+        except DegenerateSignalError as e:
+            assert str(e) in DEGENERATE_MESSAGES, game
+            return
+        y, x = game.y, rep.x_ne
+        assert 0.0 <= x.x_n <= 1.0 - y and 0.0 <= x.x_vu <= y and x.x_vs == 0.0, (game, rep)
+        assert game.hazard.floor <= rep.P <= game.hazard.ceiling, (game, rep)
+        assert same_bits(rep.Q, rep.P * game.signal_rate), (game, rep)
+        assert 0.0 <= rep.posterior <= rep.P, (game, rep)
+        assert math.isfinite(rep.social_cost) and rep.social_cost >= 0.0, (game, rep)
+        assert classify_region(game) is rep.region, (game, rep)
 
 
 class TestParameterTypes:

@@ -33,7 +33,7 @@ from hazardsignal import (
     solve_equilibrium,
     solve_profile_P,
 )
-from hazardsignal.model import BISECT_TOL
+from hazardsignal.model import BISECT_TOL, GROUP_SLACK
 
 from conftest import adversarial_tables, knot_targets, random_game, table_curves
 
@@ -152,10 +152,11 @@ def test_table_fixed_point_within_bisection_bound(curve, rng, a, b):
 @given(st.one_of(table_curves(), adversarial_tables()), st.lists(st.floats(0.0, 1.0), max_size=4))
 def test_table_inverse_within_bisection_bound(curve, ts):
     # the TableHazard docstring's bound: BISECT_TOL / s_min plus rounding and
-    # the ends of [0, 1] that the end knots may leave uncovered
+    # the ends of [0, 1] that the end knots may leave uncovered, and never more
+    # than GROUP_SLACK plus rounding, past which the closed form is returned
     knots, slopes = exact_table(curve)
     bound = (
-        (BISECT_TOL + ROUNDING) / float(min(slopes))
+        min((BISECT_TOL + ROUNDING) / float(min(slopes)), GROUP_SLACK)
         + ROUNDING
         + 4 * math.ulp(1.0)
         + max(curve.knots[0][0], 0.0)

@@ -1,14 +1,16 @@
-"""numpy is loaded only by array work.
+"""numpy is loaded only by the oracle's scan.
 
-Each check runs in a fresh interpreter, because this test process has numpy
+Only oracle.py imports numpy, which the first test checks in the source.
+The others run in a fresh interpreter, because this test process has numpy
 loaded already. Scalar work runs with sys.modules["numpy"] set to None, so
 any import of numpy raises ImportError there, as it does where numpy is not
-installed: importing the package, refusing text, the scalar entry points
-called with Fraction and int arguments, and the scalar subcommands, whose
-pinned invocations must keep the exit codes and stdout digests that
-hsbench/cli_expected.json records. The oracle and array curve calls load numpy.
+installed: importing the package, refusing text and lists, the scalar entry
+points called with Fraction and int arguments, and the scalar subcommands,
+whose pinned invocations must keep the exit codes and stdout digests that
+hsbench/cli_expected.json records. oracle-check loads numpy.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -55,6 +57,21 @@ def run_cli(*keys: str) -> str:
     return "\n".join(lines)
 
 
+def test_numpy_imports_live_in_the_oracle_only():
+    importers = set()
+    for path in sorted((REPO_ROOT / "src" / "hazardsignal").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"oracle.py"}
+
+
 def test_package_import_leaves_numpy_unloaded():
     run_child("import hazardsignal\nimport hazardsignal.cli")
 
@@ -84,13 +101,23 @@ def test_rejected_text_leaves_numpy_unloaded():
     )
 
 
+def test_rejected_list_leaves_numpy_unloaded():
+    # a curve takes one number: a list is refused without turning to numpy
+    run_child(
+        "import hazardsignal as hs\n"
+        "for curve in (hs.AffineHazard(0.5, 0.2), hs.PowerHazard(2.0), hs.LinearReach(0.9),\n"
+        "              hs.TableHazard(((0.0, 0.1), (1.0, 0.9))), hs.ConstantReach(0.4)):\n"
+        "    try:\n"
+        "        curve([0.25, 0.5])\n"
+        "    except hs.InputError as e:\n"
+        "        assert str(e).endswith('must be a number, got [0.25, 0.5]'), e\n"
+        "    else:\n"
+        "        raise SystemExit(f'{curve!r} accepted a list')"
+    )
+
+
 @pytest.mark.parametrize(
-    "body",
-    [
-        run_cli("oracle-check scenarios/zero_signal_optimum.scn"),
-        "import hazardsignal as hs\nhs.TableHazard(((0.0, 0.1), (1.0, 0.9)))([0.25, 0.5])",
-    ],
-    ids=["oracle-check", "table-array-call"],
+    "body", [run_cli("oracle-check scenarios/zero_signal_optimum.scn")], ids=["oracle-check"]
 )
 def test_array_work_loads_numpy(body):
     run_child(body, numpy=True)
