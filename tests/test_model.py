@@ -25,6 +25,7 @@ from hazardsignal import (
     TableHazard,
     validate_profile,
 )
+from hazardsignal.oracle import _gap_crossings, _hazard_at, _member_mask
 
 from conftest import (
     adversarial_tables,
@@ -302,6 +303,34 @@ class TestCurveArguments:
         for x in (np.array([0.0, 0.5, 1.0]), np.array([]), [0.0, 0.5, 1.0]):
             with pytest.raises(InputError, match="must be a number, got"):
                 curve(x)
+
+    @every_family
+    def test_array_overshoot_clamped(self, curve):
+        # an array's elements, read one number at a time, clamp like the ends they overshoot
+        over, ends = np.array([-5e-10, 0.5, 1.0 + 5e-10]), [0.0, 0.5, 1.0]
+        assert [curve(x).hex() for x in over] == [curve(x).hex() for x in ends]
+        game = game_using(curve)
+        if game.hazard is curve:
+            # the oracle scan's array reading of the hazard clamps them the same way
+            got = _hazard_at(game)(over)
+            assert [v.hex() for v in got.tolist()] == [curve(x).hex() for x in ends]
+
+    @every_family
+    def test_empty_array_gives_empty_array(self, curve):
+        # the oracle scan's array functions, on a game using the curve, map no masses to none
+        game, empty = game_using(curve), np.array([])
+        got = [_hazard_at(game)(empty), _member_mask(game, empty, empty, 0.01)]
+        got.extend(_gap_crossings(game, empty, empty))
+        assert all(isinstance(a, np.ndarray) and a.shape == (0,) for a in got)
+
+
+def game_using(curve) -> SignalingGame:
+    """A game whose hazard or reach is curve."""
+    if isinstance(curve, (LinearReach, ConstantReach)):
+        hazard, reach = AffineHazard(0.3, 0.1), curve
+    else:
+        hazard, reach = curve, ConstantReach(1.0)
+    return SignalingGame(beta=0.5, y=0.5, r=2.0, hazard=hazard, signal_reach=reach)
 
 
 class TestCurveValidation:
