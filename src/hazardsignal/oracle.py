@@ -13,12 +13,14 @@ exactly when the clamped curve at P = c reads at least c (_hazard_at), so
 one curve call decides the implication for the whole lattice.
 
 Only the eps-equilibrium scan works on arrays, curves included (_hazard_at),
-so only its functions import numpy; importing this module does not.
+so only its functions import numpy; importing this module does not. Its
+arrays are small, so numpy's per-call overhead, not arithmetic, sets its cost.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -150,6 +152,10 @@ def epsilon_equilibria(
     x_vs > 0 is excluded analytically: signaled drivers strictly prefer
     caution (margin r > eps for any sane eps), so such profiles can never
     pass. Equal-cost ties keep candidates in place, hence corners matter.
+
+    Sorted (x_n, x_vu) float pairs, equal neighbours merged, are np.unique's
+    rows: no candidate (a lattice point, or a midpoint of nonnegative ends) is
+    NaN, which == keeps apart, or -0.0, which == merges with 0.0.
     """
     import numpy as np
 
@@ -177,15 +183,13 @@ def epsilon_equilibria(
 
     xn_axis = _axis(1.0 - y, grid_step)
     xvu_axis = _axis(y, grid_step)
-    grid_n, grid_vu = np.meshgrid(xn_axis, xvu_axis, indexing="ij")
     cross_n, cross_vu = _gap_crossings(game, xn_axis, xvu_axis)
-    xs = np.concatenate([grid_n.ravel(), cross_n])
-    vus = np.concatenate([grid_vu.ravel(), cross_vu])
+    xs = np.concatenate([np.repeat(xn_axis, len(xvu_axis)), cross_n])
+    vus = np.concatenate([np.tile(xvu_axis, len(xn_axis)), cross_vu])
     ok = _member_mask(game, xs, vus, eps)
-    points = np.column_stack([xs[ok], vus[ok]])
-    if len(points):
-        points = np.unique(points, axis=0)
-    members = tuple(BehaviorProfile(float(a), float(b), 0.0) for a, b in points)
+    # the lattice part is one sorted run, so the sort only merges the crossings into it
+    points = sorted(zip(xs[ok].tolist(), vus[ok].tolist()))
+    members = tuple(BehaviorProfile(a, b, 0.0) for (a, b), _ in itertools.groupby(points))
     return EpsilonEquilibriumSet(epsilon=eps, grid_step=grid_step, members=members)
 
 
@@ -244,19 +248,15 @@ def _axis(bound: float, step: float) -> np.ndarray:
     return pts
 
 
-def _bisect_rows(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Row-wise bisection, 60 halvings of every [lo, hi] bracket.
-
-    above(mid) is a boolean array, True in the rows whose root lies below mid.
-    """
+def _curve_reader(game: SignalingGame):
+    """mass -> p(mass) on arrays, unclamped: a table is np.interp on its knots,
+    which TableHazard._eval reproduces bit for bit; other _eval take arrays."""
     import numpy as np
 
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        down = above(mid)
-        hi = np.where(down, mid, hi)
-        lo = np.where(down, lo, mid)
-    return 0.5 * (lo + hi)
+    hazard = game.hazard
+    if isinstance(hazard, TableHazard):
+        return functools.partial(np.interp, xp=np.array(hazard._ds), fp=np.array(hazard._vs))
+    return hazard._eval
 
 
 def _hazard_at(game: SignalingGame):
@@ -265,14 +265,10 @@ def _hazard_at(game: SignalingGame):
     At a profile's mass x_n + (1 - c*rate)*x_vu for P = c, p >= c exactly
     when its consistent accident probability P* >= c, and p <= c exactly
     when P* <= c: the gap P - p(...) rises strictly in P with its root at P*.
-    A table is np.interp on its knot coordinates, which TableHazard._eval
-    reproduces bit for bit; affine and power _eval formulas take arrays.
     """
     import numpy as np
 
-    hazard, p = game.hazard, game.hazard._eval
-    if isinstance(hazard, TableHazard):
-        p = functools.partial(np.interp, xp=np.array(hazard._ds), fp=np.array(hazard._vs))
+    p = _curve_reader(game)
     # not np.clip, whose dispatch costs about twice as much on the scan's small arrays
     return lambda mass: p(np.minimum(np.maximum(mass, 0.0), 1.0))
 
@@ -307,10 +303,10 @@ def _member_mask(
         # every accident is shown, so silence means none: the posterior is 0
         vu_careful, vu_reckless = lo <= 0.0, True
     return (
-        (~(xs < 1.0 - y) | at_least(lo))
-        & (~(xs > 0.0) | at_most(hi))
-        & (~(vus < y) | vu_careful)
-        & (~(vus > 0.0) | vu_reckless)
+        ((xs >= 1.0 - y) | at_least(lo))
+        & ((xs <= 0.0) | at_most(hi))
+        & ((vus >= y) | vu_careful)
+        & ((vus <= 0.0) | vu_reckless)
     )
 
 
@@ -332,34 +328,38 @@ def _gap_crossings(
     its 1/(1+r) threshold to t = 1/(1 + r(1 - rate)) in P-space.) On each
     line that mass is affine in the moving mass m, coef*m + const: coef = 1
     and const = (1 - t*rate)*x_vu while x_n moves, coef = 1 - t*rate and
-    const = x_n while x_vu moves. Both are computed once per line, so a
-    halving only evaluates _hazard_at(coef*m + const) against t; 1*m is
-    exact and addition commutes, so each step reads the same mass as
-    _member_mask would. Crossings are only candidates; membership is still
-    decided by _member_mask.
+    const = x_n while x_vu moves; 1*m is exact and addition commutes, so
+    each step reads the same mass as _member_mask would. Crossings are only
+    candidates; membership is still decided by _member_mask.
+
+    The lines' [0, bound] brackets are the columns of one (lo, hi) array,
+    halved 60 times in place: one np.copyto puts each midpoint in the lo row
+    where the gap is still positive, in the hi row where it is not. As coef
+    (1 or 1 - t*rate, with t, rate <= 1), m and const are >= 0, no mass is
+    negative, and the curve is read clamped at 1 only, not at 0 as well.
     """
     import numpy as np
 
     rate, t_n, t_vu = game.signal_rate, game.t_prior, game.t_unsignaled
-    moves_n = np.repeat([True, False], [len(xvu_axis), len(xn_axis)])
-    t = np.where(moves_n, t_n, t_vu)
-    bound = np.where(moves_n, 1.0 - game.y, game.y)
+    n_vu, n_n = len(xvu_axis), len(xn_axis)
+    moves_n = np.repeat([True, False], [n_vu, n_n])
+    t = np.repeat([t_n, t_vu], [n_vu, n_n])
     fixed = np.concatenate([xvu_axis, xn_axis])
-    scale = 1.0 - t * rate
-    coef = np.where(moves_n, 1.0, scale)
-    const = np.where(moves_n, scale * fixed, fixed)
-
-    p = _hazard_at(game)
-
-    def reached(m, coef, const, t) -> np.ndarray:
-        """True in the lines whose gap is <= 0 at moving mass m."""
-        return p(coef * m + const) >= t
-
-    sign_change = ~reached(0.0, coef, const, t) & reached(bound, coef, const, t)
+    coef = np.repeat([1.0, 1.0 - t_vu * rate], [n_vu, n_n])
+    const = np.concatenate([(1.0 - t_n * rate) * xvu_axis, xn_axis])
+    bracket = np.repeat([[0.0, 0.0], [1.0 - game.y, game.y]], [n_vu, n_n], axis=1)
+    p = _curve_reader(game)
+    # True where the gap is <= 0; a line crosses where it is > 0 at 0 and <= 0 at bound
+    reached = p(np.minimum(coef * bracket + const, 1.0)) >= t
+    sign_change = reached[1] > reached[0]
     if not np.any(sign_change):
         return np.array([]), np.array([])
-    moves_n, t, bound, fixed, coef, const = (
-        a[sign_change] for a in (moves_n, t, bound, fixed, coef, const)
-    )
-    m = _bisect_rows(lambda m: reached(m, coef, const, t), np.zeros_like(bound), bound)
+    moves_n, t, fixed, coef, const = (a[sign_change] for a in (moves_n, t, fixed, coef, const))
+    bracket = bracket[:, sign_change]
+    lo, hi = bracket
+    row_is_hi = np.array([[False], [True]])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        np.copyto(bracket, mid, where=(p(np.minimum(coef * mid + const, 1.0)) >= t) == row_is_hi)
+    m = 0.5 * (lo + hi)
     return np.where(moves_n, m, fixed), np.where(moves_n, fixed, m)

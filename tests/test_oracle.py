@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hazardsignal import oracle
 from hazardsignal import (
@@ -31,6 +31,7 @@ from conftest import (
     SCENARIO_DIR,
     adoption_backfire_game,
     adversarial_tables,
+    extreme_game,
     knot_points,
     random_game,
     steep_hazard_game,
@@ -50,6 +51,66 @@ def lattice(bound, step):
 
 def linf(profile, x_n, x_vu):
     return max(abs(profile.x_n - x_n), abs(profile.x_vu - x_vu))
+
+
+def reference_crossings(game, xn_axis, xvu_axis):
+    """The gap crossings as a plain reference: 60 np.where halvings of every
+    line's [0, bound] bracket, each reading the doubly clamped _hazard_at."""
+    p = oracle._hazard_at(game)
+    rate = game.signal_rate
+    moves_n = np.repeat([True, False], [len(xvu_axis), len(xn_axis)])
+    t = np.where(moves_n, game.t_prior, game.t_unsignaled)
+    bound = np.where(moves_n, 1.0 - game.y, game.y)
+    fixed = np.concatenate([xvu_axis, xn_axis])
+    scale = 1.0 - t * rate
+    coef = np.where(moves_n, 1.0, scale)
+    const = np.where(moves_n, scale * fixed, fixed)
+    change = ~(p(coef * 0.0 + const) >= t) & (p(coef * bound + const) >= t)
+    moves_n, t, bound, fixed, coef, const = (
+        a[change] for a in (moves_n, t, bound, fixed, coef, const)
+    )
+    lo, hi = np.zeros_like(bound), bound
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        down = p(coef * mid + const) >= t
+        hi = np.where(down, mid, hi)
+        lo = np.where(down, lo, mid)
+    m = 0.5 * (lo + hi)
+    return np.where(moves_n, m, fixed), np.where(moves_n, fixed, m)
+
+
+def reference_members(game, step, eps):
+    """The scan's members as a plain reference: a meshgrid lattice plus the
+    reference crossings, filtered by the scan's own _member_mask, rows
+    deduplicated and sorted by np.unique."""
+    xn_axis, xvu_axis = oracle._axis(1.0 - game.y, step), oracle._axis(game.y, step)
+    grid_n, grid_vu = np.meshgrid(xn_axis, xvu_axis, indexing="ij")
+    cross_n, cross_vu = reference_crossings(game, xn_axis, xvu_axis)
+    xs = np.concatenate([grid_n.ravel(), cross_n])
+    vus = np.concatenate([grid_vu.ravel(), cross_vu])
+    ok = oracle._member_mask(game, xs, vus, eps)
+    points = np.column_stack([xs[ok], vus[ok]])
+    if len(points):
+        points = np.unique(points, axis=0)
+    return [(float(a).hex(), float(b).hex()) for a, b in points]
+
+
+def assert_crossings_match_reference(game, step):
+    """_gap_crossings' candidates equal reference_crossings' by float.hex; both
+    run in this process, so no CPU difference in np.power's last bit can come
+    between them."""
+    axes = oracle._axis(1.0 - game.y, step), oracle._axis(game.y, step)
+    got = [[v.hex() for v in a.tolist()] for a in oracle._gap_crossings(game, *axes)]
+    expected = [[v.hex() for v in a.tolist()] for a in reference_crossings(game, *axes)]
+    assert got == expected, game
+
+
+def assert_members_match_reference(game, step, eps):
+    """epsilon_equilibria's members equal reference_members' by float.hex."""
+    members = epsilon_equilibria(game, step, eps).members
+    assert all(m.x_vs == 0.0 for m in members)
+    got = [(m.x_n.hex(), m.x_vu.hex()) for m in members]
+    assert got == reference_members(game, step, eps), game
 
 
 class TestConditionCheck:
@@ -304,6 +365,37 @@ class TestEpsilonEquilibria:
         assert (len(games), candidates) == (62, 1081)
         assert digest.hexdigest() == "161bb05e721afd5314dc05856bf345ee1709fa82e297d257b0a1427214e84451"
 
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    @pytest.mark.parametrize(
+        "pool", [generator.oracle_wellcond_pool, generator.oracle_well_pool,
+                 generator.oracle_extreme_pool],
+        ids=["wellcond", "well", "extreme"],
+    )
+    def test_scan_matches_reference_on_benchmark_pools(self, pool, step):
+        # power games included: the reference runs in this process, so it meets the
+        # scan's np.power bits on any CPU, which test_members_pinned cannot
+        for item in pool(1):
+            game = item.game()
+            assert_crossings_match_reference(game, step)
+            assert_members_match_reference(game, step, workloads.ORACLE_EPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        extreme_game(),
+        st.sampled_from([0.01, 0.05, 0.25]),
+        st.sampled_from([1e-3, 0.05, 0.5]),
+    )
+    def test_scan_matches_reference_on_extreme_games(self, game, step, eps):
+        """Every family, y at 0 or 1, beta*q = 1 and r >> 1: each bisected mass
+        is coef*m + const with all three >= 0, so the scan may leave out the
+        reference's lower clamp without moving a bit."""
+        assert_crossings_match_reference(game, step)
+        y = game.y
+        if 0.0 < y < 1.0:
+            step = min(step, y, 1.0 - y)
+        # y within 1e-12 of 0 or 1 needs a step too fine for a lattice of any size
+        if math.prod(b / step + 2.0 if b > 0.0 else 1.0 for b in (1.0 - y, y)) <= 1e4:
+            assert_members_match_reference(game, step, eps)
 
     @given(
         st.one_of(table_curves(), adversarial_tables()), st.lists(st.floats(-0.5, 1.5), max_size=20)
